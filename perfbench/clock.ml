@@ -1,0 +1,3 @@
+(* Monotonic nanosecond clock (CLOCK_MONOTONIC, no allocation). *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let seconds_since t0 = float_of_int (now_ns () - t0) *. 1e-9
