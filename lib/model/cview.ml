@@ -648,7 +648,10 @@ let max_improving_block v ~cls ~src ~dst =
     (* q ∈ (1, avail]: ceil(q) − 1 ∈ [1, avail] fits a native int. *)
     Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
 
-let social_cost1 v =
+(* Per-term SC_1: one canonical latency per occupied (class, link)
+   pair, weighted by its count.  The exact lane's sum, and the packed
+   lane's fallback when a native step would overflow. *)
+let social_cost1_terms v =
   let acc = ref Rational.zero in
   for c = 0 to classes v - 1 do
     for l = 0 to links v - 1 do
@@ -657,6 +660,54 @@ let social_cost1 v =
     done
   done;
   !acc
+
+exception Overflow
+
+(* Overflow-checked arithmetic on positive native ints.  Two factors
+   below 2^31 multiply within max_int without a division. *)
+let mul_nn a b = if a lor b < 1 lsl 31 || b <= max_int / a then a * b else raise Overflow
+let add_nn a b = if a <= max_int - b then a + b else raise Overflow
+
+(* The packed lane's SC_1, factored by link.  Packed classes are
+   load-linear (zero bias), so with [T_l = Σ_c n_cl/c_cl]
+     SC_1 = Σ_c Σ_l n_cl·load_l/c_cl = Σ_l load_l·T_l.
+   The T_l live over one native common denominator D, the lcm of the
+   occupied numerators ([1/c = pcd/pcn]): [nl.(l)] accumulates D·T_l,
+   and with [load_l = piload_l/pscale]
+     SC_1 = Σ_l piload_l·(D·T_l) / (pscale·D).
+   @raise Overflow when any native step would wrap. *)
+let packed_social_cost1 v pk =
+  let k = classes v and m = Array.length pk.piload in
+  let d = ref 1 in
+  for c = 0 to k - 1 do
+    let occ = v.assign.(c) and base = c * m in
+    for l = 0 to m - 1 do
+      if occ.(l) > 0 then begin
+        let a = pk.pcn.(base + l) in
+        if !d mod a <> 0 then d := mul_nn (!d / Bignat.gcd_int !d a) a
+      end
+    done
+  done;
+  let d = !d and nl = Array.make m 0 in
+  for c = 0 to k - 1 do
+    let occ = v.assign.(c) and base = c * m in
+    for l = 0 to m - 1 do
+      let e = occ.(l) in
+      if e > 0 then
+        nl.(l) <- add_nn nl.(l) (mul_nn (mul_nn e pk.pcd.(base + l)) (d / pk.pcn.(base + l)))
+    done
+  done;
+  let num = ref Bigint.zero in
+  for l = 0 to m - 1 do
+    if nl.(l) > 0 then
+      num := Bigint.add !num (Bigint.mul (Bigint.of_int pk.piload.(l)) (Bigint.of_int nl.(l)))
+  done;
+  Rational.make !num (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int d))
+
+let social_cost1 v =
+  match v.lane with
+  | Exact _ -> social_cost1_terms v
+  | Packed pk -> ( try packed_social_cost1 v pk with Overflow -> social_cost1_terms v)
 
 let social_cost2 v =
   let acc = ref Rational.zero in

@@ -187,7 +187,16 @@ val is_nash : t -> bool
     [assigned v cls src].  Requires [dst <> src]. *)
 val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 
-(** [social_cost1 v] is [SC1 = Σ_c count-weighted latencies].  O(k·m). *)
+(** [social_cost1 v] is [SC1 = Σ_c Σ_l n_cl · latency v c l], the
+    count-weighted latencies.  On the packed lane, where every class is
+    load-linear, it is computed link-factored as [Σ_l load_l · T_l]
+    with [T_l = Σ_c n_cl / c_cl] summed in native ints over one common
+    denominator (the lcm of the occupied capacity numerators), leaving
+    m load products and one final reduction; it reads the packed
+    capacity tables and allocates a small constant number of words.
+    The exact lane, and the packed lane when a native step would
+    overflow, sum the terms one by one.  Either way the value — and so
+    its canonical form — is the per-term sum's.  O(k·m). *)
 val social_cost1 : t -> Numeric.Rational.t
 
 (** [social_cost2 v] is [SC2 = max latency over occupied (c, l)].

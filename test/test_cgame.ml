@@ -389,6 +389,138 @@ let test_csymmetric () =
     if not (Cview.is_nash v) then Alcotest.failf "trial %d: Csymmetric output is not Nash" trial
   done
 
+(* ------------------------------------------------------------------ *)
+(* Factored SC1: overflow fallback, bias term, allocation              *)
+
+(* SC1/SC2 of a class view against the per-user engine on the expanded
+   game: an independent per-user sum of canonical latencies. *)
+let check_social trial cg x =
+  let v = Cview.of_profile cg x in
+  let ex = Cgame.expand cg and ex_p = Cgame.expand_profile cg x in
+  Alcotest.check check_q (Printf.sprintf "trial %d SC1" trial) (Pure.social_cost1 ex ex_p)
+    (Cview.social_cost1 v);
+  Alcotest.check check_q (Printf.sprintf "trial %d SC2" trial) (Pure.social_cost2 ex ex_p)
+    (Cview.social_cost2 v);
+  v
+
+(* The three largest primes below 2^31 and the two largest below 2^30.
+   Any three of the former as occupied capacity numerators have an lcm
+   above max_int, so the packed factored sum must take its per-term
+   fallback; the latter two have an lcm near 2^60 that still fits, so
+   the factored path itself runs at the edge of the native range. *)
+let primes31 = [| 2147483647; 2147483629; 2147483587 |]
+let primes30 = [| 1073741789; 1073741783 |]
+
+(* A weight denominator far beyond the native range keeps [Packing]
+   from building tables, so the same game runs on the exact lane's
+   per-term sum. *)
+let huge_den = Rational.make Bigint.one (Bigint.of_string "100000000000000000000")
+
+let random_profile rng counts m =
+  Array.map
+    (fun n ->
+      let row = Array.make m 0 in
+      for _ = 1 to n do
+        let l = Prng.Rng.int rng m in
+        row.(l) <- row.(l) + 1
+      done;
+      row)
+    counts
+
+let test_social_cost_fallback () =
+  let rng = Prng.Rng.create 0x5C1F in
+  for trial = 1 to 400 do
+    let k = 3 + Prng.Rng.int rng 2 and m = Prng.Rng.int_in rng 2 3 in
+    let pool = if trial mod 3 = 0 then primes30 else primes31 in
+    let counts = Array.init k (fun _ -> 1 + Prng.Rng.int rng 3) in
+    let exact = trial mod 2 = 0 in
+    let weights =
+      Array.init k (fun _ ->
+          let w = Rational.of_int (1 + Prng.Rng.int rng 3) in
+          if exact then Rational.mul w huge_den else w)
+    in
+    let caps =
+      Array.init k (fun c ->
+          Array.init m (fun l ->
+              Rational.of_ints pool.((c + l) mod Array.length pool) (1 + Prng.Rng.int rng 3)))
+    in
+    let cg = Cgame.of_capacities ~counts ~weights caps in
+    let v = check_social trial cg (random_profile rng counts m) in
+    if Cview.packed v = exact then Alcotest.failf "trial %d: unexpected lane" trial
+  done;
+  (* Every class on every link: all three primes are occupied, so the
+     packed native lcm overflows; the exact lane checks the same game. *)
+  List.iter
+    (fun w ->
+      let counts = [| 2; 2; 2 |] in
+      let caps = Array.init 3 (fun c -> Array.init 2 (fun l -> Rational.of_int primes31.((c + l) mod 3))) in
+      let cg = Cgame.of_capacities ~counts ~weights:(Array.make 3 w) caps in
+      ignore (check_social 0 cg [| [| 1; 1 |]; [| 1; 1 |]; [| 1; 1 |] |]))
+    [ Rational.one; huge_den ]
+
+(* Bernoulli participation: every class carries a non-zero bias
+   β = (1 − p)·w, which keeps the game off the packed lane and adds to
+   every latency SC1 sums. *)
+let test_social_cost_bias () =
+  let rng = Prng.Rng.create 0xB1A5 in
+  for trial = 1 to 2_000 do
+    let k = 1 + Prng.Rng.int rng 4 and m = Prng.Rng.int_in rng 2 4 in
+    let counts = Array.init k (fun _ -> 1 + Prng.Rng.int rng 3) in
+    let weights =
+      Array.init k (fun _ -> Rational.of_ints (1 + Prng.Rng.int rng 6) (1 + Prng.Rng.int rng 3))
+    in
+    let cap () =
+      if trial mod 5 = 0 then Rational.of_ints primes31.(Prng.Rng.int rng 3) (1 + Prng.Rng.int rng 2)
+      else Rational.of_ints (1 + Prng.Rng.int rng 8) (1 + Prng.Rng.int rng 3)
+    in
+    let uncertainty =
+      Array.init k (fun _ ->
+          let p = Rational.of_ints (1 + Prng.Rng.int rng 3) 4 in
+          Uncertainty.participation ~presence:p (Belief.certain (State.make (Array.init m (fun _ -> cap ())))))
+    in
+    let cg = Cgame.make_uncertain ~counts ~weights ~uncertainty in
+    let v = check_social trial cg (random_profile rng counts m) in
+    if Cview.packed v then Alcotest.failf "trial %d: participation game packed" trial
+  done
+
+(* The serve report's shape: k = 96 classes over m = 8 links, every
+   pair occupied, on the packed lane.  The factored SC1 reads the
+   packed int tables and builds one rational, so a call allocates a
+   small constant number of words. *)
+let test_social_cost1_allocation () =
+  let rng = Prng.Rng.create 0xA110C in
+  let k = 96 and m = 8 in
+  let counts = Array.init k (fun _ -> 800 + Prng.Rng.int rng 400) in
+  let weights = Array.init k (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 4)) in
+  let caps =
+    Array.init k (fun _ ->
+        Array.init m (fun _ -> Rational.of_ints (1 + Prng.Rng.int rng 12) (1 + Prng.Rng.int rng 3)))
+  in
+  let cg = Cgame.of_capacities ~counts ~weights caps in
+  let x =
+    Array.map
+      (fun n ->
+        let row = Array.make m (n / m) in
+        row.(0) <- row.(0) + (n mod m);
+        row)
+      counts
+  in
+  let v = Cview.of_profile cg x in
+  Alcotest.(check bool) "view is packed" true (Cview.packed v);
+  let oracle = ref Rational.zero in
+  for c = 0 to k - 1 do
+    for l = 0 to m - 1 do
+      oracle :=
+        Rational.add !oracle (Rational.mul (Rational.of_int x.(c).(l)) (Cview.latency v c l))
+    done
+  done;
+  Alcotest.check check_q "SC1 vs per-term sum" !oracle (Cview.social_cost1 v);
+  let w0 = Gc.minor_words () in
+  let sc = Sys.opaque_identity (Cview.social_cost1 v) in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.check check_q "repeat call" !oracle sc;
+  if words >= 256. then Alcotest.failf "packed social_cost1 allocated %.0f minor words" words
+
 let test_ownership_guard () =
   (* Cview mutators carry the same SELFISH_OWNERSHIP guard as View;
      forge the owner to pin the Cview-specific failure message. *)
@@ -443,6 +575,12 @@ let () =
           Alcotest.test_case "LPT vs Uniform_beliefs" `Slow test_uniform_differential;
           Alcotest.test_case "block best-response convergence" `Slow test_cbr_convergence;
           Alcotest.test_case "Csymmetric end to end" `Quick test_csymmetric;
+        ] );
+      ( "social cost",
+        [
+          Alcotest.test_case "overflow fallback vs Pure" `Quick test_social_cost_fallback;
+          Alcotest.test_case "participation bias vs Pure" `Quick test_social_cost_bias;
+          Alcotest.test_case "packed SC1 allocation pin" `Quick test_social_cost1_allocation;
         ] );
       ( "ownership",
         [ Alcotest.test_case "sanitizer guards Cview mutators" `Quick test_ownership_guard ] );

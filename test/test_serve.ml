@@ -295,12 +295,38 @@ let check_view_identity trial v =
     done
   done;
   if Cview.is_nash v <> Cview.is_nash fresh then
-    Alcotest.failf "trial %d: is_nash diverged from re-materialised view" trial
+    Alcotest.failf "trial %d: is_nash diverged from re-materialised view" trial;
+  (* The serve report: the live view's social costs against the fresh
+     view's and against a per-term oracle over the live latencies —
+     spilled lanes and revised capacity rows included. *)
+  let sc1 = ref Rational.zero and sc2 = ref Rational.zero in
+  for c = 0 to k - 1 do
+    for l = 0 to m - 1 do
+      let e = Cview.assigned v c l in
+      if e > 0 then begin
+        let lat = Cview.latency v c l in
+        sc1 := Rational.add !sc1 (Rational.mul (Rational.of_int e) lat);
+        sc2 := Rational.max !sc2 lat
+      end
+    done
+  done;
+  let live1 = Cview.social_cost1 v and live2 = Cview.social_cost2 v in
+  if not (Rational.equal live1 (Cview.social_cost1 fresh)) then
+    Alcotest.failf "trial %d: SC1 diverged from re-materialised view" trial;
+  if not (Rational.equal live2 (Cview.social_cost2 fresh)) then
+    Alcotest.failf "trial %d: SC2 diverged from re-materialised view" trial;
+  if not (Rational.equal live1 !sc1) then
+    Alcotest.failf "trial %d: SC1 %s differs from the per-term sum %s" trial
+      (Rational.to_string live1) (Rational.to_string !sc1);
+  if not (Rational.equal live2 !sc2) then
+    Alcotest.failf "trial %d: SC2 %s differs from the per-term max %s" trial
+      (Rational.to_string live2) (Rational.to_string !sc2)
 
 (* 10^4 randomized mutation sequences: after every sequence the live
-   cursor is bit-identical to a fresh of_profile (to_cgame v)
-   (profile v), and undoing everything restores the original state —
-   loads, profile, and the packed fast lane. *)
+   cursor (social costs included) is bit-identical to a fresh
+   of_profile (to_cgame v) (profile v), and undoing everything
+   restores the original state — loads, profile, and the packed fast
+   lane. *)
 let test_differential_mutations () =
   let rng = Prng.Rng.create 2006 in
   for trial = 1 to 10_000 do
