@@ -28,6 +28,10 @@ type t = {
     any scaled component exceeds the native range. *)
 val build : mults:int array -> Numeric.Rational.t array -> Numeric.Rational.t array array -> t option
 
+(** [scale_lcm from xs] is the least common multiple of [from] and
+    every element of [xs] (all positive). *)
+val scale_lcm : Numeric.Bigint.t -> Numeric.Bigint.t array -> Numeric.Bigint.t
+
 (** [admits ~total ~maxcn ~maxcd] holds when
     [2·total·maxcd·maxcn <= max_int] — the single bound under which
     every packed predicate product is exact. *)

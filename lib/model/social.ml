@@ -77,30 +77,52 @@ let ratio2 ?limit g p =
   let opt, _ = opt2 ?limit g in
   Rational.div (Mixed.social_cost2 g p) opt
 
-(* Branch-and-bound over users in decreasing weight order.  The bound
-   argument: once user [i] is placed on link [ℓ], its latency
-   load(ℓ)/c^ℓ_i can only grow as later users join ℓ, so the partial
-   cost (sum or max over placed users, at current loads) lower-bounds
-   every completion.  Heavy users first makes early partial costs
-   large, so pruning bites. *)
-let optimum_bb name cost_of_partial g =
-  let n = Game.users g and m = Game.links g in
-  ignore name;
-  let order = Array.init n Fun.id in
+(* Branch-and-bound over users in decreasing weight order (ties by
+   index): heavy users first make early partial costs large, so pruning
+   bites.  The bound argument: once user [i] is placed on link [ℓ], its
+   latency (L_ℓ + β_i)/c^ℓ_i can only grow as later users join ℓ, so
+   the partial cost (sum or max over placed users, at current loads)
+   lower-bounds every completion.  A node is pruned when its bound is
+   no better than the incumbent, which is replaced only on strict
+   improvement: the argmin is the first strict minimum in depth-first
+   order. *)
+type objective = Sum | Max
+
+let search_order g =
+  let order = Array.init (Game.users g) Fun.id in
   Array.sort
     (fun a b ->
       let c = Rational.compare (Game.weight g b) (Game.weight g a) in
       if c <> 0 then c else Int.compare a b)
     order;
+  order
+
+(* The exact search, for every game.  Loads carry contributions and
+   each placed user's own latency adds its bias, as in [View.latency];
+   the partial cost is recomputed over the placed users at each node. *)
+let exact_bb objective g =
+  let n = Game.users g and m = Game.links g in
+  let order = search_order g in
+  let combine = match objective with Sum -> Rational.add | Max -> Rational.max in
   let loads = Array.make m Rational.zero in
   let assignment = Array.make n 0 in
+  let partial placed =
+    let acc = ref Rational.zero in
+    for d = 0 to placed - 1 do
+      let i = order.(d) in
+      let l = assignment.(i) and b = Game.bias g i in
+      let q = if Rational.is_zero b then loads.(l) else Rational.add loads.(l) b in
+      acc := combine !acc (Rational.div q (Game.capacity g i l))
+    done;
+    !acc
+  in
   let best_value = ref None and best_profile = ref [||] in
   let beats_best v =
     match !best_value with Some b -> Rational.compare v b < 0 | None -> true
   in
   let rec place depth =
     if depth = n then begin
-      let v = cost_of_partial g order assignment loads depth in
+      let v = partial depth in
       if beats_best v then begin
         best_value := Some v;
         best_profile := Array.copy assignment
@@ -108,12 +130,12 @@ let optimum_bb name cost_of_partial g =
     end
     else begin
       let user = order.(depth) in
+      let t = Game.contribution g user in
       for l = 0 to m - 1 do
-        loads.(l) <- Rational.add loads.(l) (Game.weight g user);
+        loads.(l) <- Rational.add loads.(l) t;
         assignment.(user) <- l;
-        let lower = cost_of_partial g order assignment loads (depth + 1) in
-        if beats_best lower then place (depth + 1);
-        loads.(l) <- Rational.sub loads.(l) (Game.weight g user)
+        if beats_best (partial (depth + 1)) then place (depth + 1);
+        loads.(l) <- Rational.sub loads.(l) t
       done
     end
   in
@@ -122,21 +144,78 @@ let optimum_bb name cost_of_partial g =
   | Some v -> (v, !best_profile)
   | None -> assert false
 
-let partial_sc1 g order assignment loads placed =
-  let acc = ref Rational.zero in
-  for d = 0 to placed - 1 do
-    let i = order.(d) in
-    acc := Rational.add !acc (Rational.div loads.(assignment.(i)) (Game.capacity g i assignment.(i)))
-  done;
-  !acc
+(* Native-int coefficients for a packed (hence load-linear) game.  With
+   D the lcm of the capacity numerators and K_il = cd_il·(D/cn_il),
+   user i's latency on link l at scaled load L_l is L_l·K_il/(scale·D),
+   so every partial cost is an integer over the one denominator
+   scale·D.  Returns the scaled weights, K and scale·D.  Every partial
+   cost is at most n·wsum·maxK; [None] unless that bound, checked once
+   in Bigint, stays below [max_int]. *)
+let native_coefficients g (pk : Packing.t) =
+  let d = Packing.scale_lcm Bigint.one (Array.map Bigint.of_int pk.cn) in
+  let k =
+    Array.mapi
+      (fun r c -> Bigint.mul (Bigint.of_int pk.cd.(r)) (Bigint.div d (Bigint.of_int c)))
+      pk.cn
+  in
+  let maxk = Array.fold_left (fun a b -> if Bigint.compare a b >= 0 then a else b) Bigint.zero k in
+  let total = Bigint.mul (Bigint.of_int (Game.users g)) (Bigint.mul (Bigint.of_int pk.wsum) maxk) in
+  match Bigint.to_int_opt total with
+  | Some t when t < max_int ->
+    Some (pk.pw, Array.map Bigint.to_int_exn k, Bigint.mul (Bigint.of_int pk.scale) d)
+  | _ -> None
 
-let partial_sc2 g order assignment loads placed =
-  let acc = ref Rational.zero in
-  for d = 0 to placed - 1 do
-    let i = order.(d) in
-    acc := Rational.max !acc (Rational.div loads.(assignment.(i)) (Game.capacity g i assignment.(i)))
-  done;
-  !acc
+(* The exact search's twin on native ints: the same order, the same
+   pruning and incumbent rules over costs that compare exactly like the
+   rationals, hence the same nodes, value and argmin.  [agg.(l)] is
+   S_l = Σ K (SC_1) or max K (SC_2) over the users on l, which makes a
+   node O(1): placing u on l adds pw_u·S_l + (L_l + pw_u)·K_ul to the
+   partial SC_1, and the partial SC_2 is max_l L_l·Kmax_l, where only
+   link l moved.  [max_int] stands for "no incumbent yet". *)
+let native_bb objective g pw k =
+  let n = Game.users g and m = Game.links g in
+  let order = search_order g in
+  let sum = match objective with Sum -> true | Max -> false in
+  let loads = Array.make m 0 and agg = Array.make m 0 in
+  let assignment = Array.make n 0 in
+  let best = ref max_int and best_profile = ref [||] in
+  let rec place depth partial =
+    if depth = n then begin
+      best := partial;
+      best_profile := Array.copy assignment
+    end
+    else begin
+      let u = order.(depth) in
+      let w = pw.(u) and row = u * m in
+      for l = 0 to m - 1 do
+        let load = loads.(l) and a = agg.(l) and kul = k.(row + l) in
+        let a' = if sum then a + kul else Int.max a kul in
+        let bound =
+          if sum then partial + (w * a) + ((load + w) * kul)
+          else Int.max partial ((load + w) * a')
+        in
+        if bound < !best then begin
+          assignment.(u) <- l;
+          loads.(l) <- load + w;
+          agg.(l) <- a';
+          place (depth + 1) bound;
+          loads.(l) <- load;
+          agg.(l) <- a
+        end
+      done
+    end
+  in
+  place 0 0;
+  (!best, !best_profile)
 
-let opt1_bb g = optimum_bb "opt1_bb" partial_sc1 g
-let opt2_bb g = optimum_bb "opt2_bb" partial_sc2 g
+let optimum_bb objective g =
+  match Option.bind (Game.packed_tables g) (native_coefficients g) with
+  | Some (pw, k, den) ->
+    let v, p = native_bb objective g pw k in
+    (Rational.make (Bigint.of_int v) den, p)
+  | None -> exact_bb objective g
+
+let opt1_bb g = optimum_bb Sum g
+let opt2_bb g = optimum_bb Max g
+let opt1_bb_exact g = exact_bb Sum g
+let opt2_bb_exact g = exact_bb Max g

@@ -34,11 +34,34 @@ val ratio1 : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
 (** [ratio2 g p] is [SC2(G,P) / OPT2(G)]. *)
 val ratio2 : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
 
-(** [opt1_bb g] / [opt2_bb g] compute the same optima by
-    branch-and-bound (users in decreasing weight order; the partial cost
-    is a valid lower bound because latencies only grow as users join),
-    reaching well beyond the exhaustive [m^n] range.  Exact; equality
-    with {!opt1}/{!opt2} is property-tested. *)
+(** [opt1_bb g] / [opt2_bb g] compute the same optima as {!opt1} /
+    {!opt2} by a depth-first branch-and-bound, reaching well beyond the
+    exhaustive [m^n] range.  Users are placed in decreasing weight
+    order (ties by index), each on links [0..m-1] in turn; each placed
+    user's latency, at the current loads plus its own bias, only grows
+    as later users join its link, so the partial cost lower-bounds
+    every completion.  A node is pruned when its bound is not below the
+    incumbent, and the incumbent changes only on strict improvement, so
+    the argmin is the first strict minimum in that depth-first order.
+
+    A game with packed tables ({!Game.packed_tables}: load-linear, with
+    every scaled component native) whose partial costs, scaled to
+    integers over one common denominator, provably stay below
+    [max_int] runs the search on native ints with an O(1) bound update
+    per node; every other game runs it on exact rationals
+    ({!opt1_bb_exact}).  Both paths visit the same nodes and return the
+    same value and argmin profile.  Exact on every uncertainty backend
+    (loads carry contributions, own latencies carry biases); equality
+    with {!opt1}/{!opt2} is property-tested on Bayesian, participation
+    and strict games. *)
 val opt1_bb : Game.t -> Numeric.Rational.t * Pure.profile
 
 val opt2_bb : Game.t -> Numeric.Rational.t * Pure.profile
+
+(** [opt1_bb_exact g] / [opt2_bb_exact g] run the branch-and-bound of
+    {!opt1_bb}/{!opt2_bb} on exact rationals whatever the game: the
+    path non-packed games take, and the reference the native path is
+    tested against. *)
+val opt1_bb_exact : Game.t -> Numeric.Rational.t * Pure.profile
+
+val opt2_bb_exact : Game.t -> Numeric.Rational.t * Pure.profile

@@ -263,6 +263,51 @@ let test_social_optimum () =
   Alcotest.check check_q "OPT2 value" (q 3 2) v2;
   Alcotest.(check (array int)) "OPT2 profile" [| 0; 1 |] p2
 
+let test_social_bb_participation () =
+  (* Bernoulli participation (presences 1/2, 1, 1/3) on weights 3, 2, 1
+     over the common capacities ⟨2, 3⟩.  Loads carry the contributions
+     3/2, 2, 1/3 and each own latency adds its bias 3/2, 0, 2/3.  Summing
+     raw weights instead gives OPT1 = 7/2 at ⟨0,1,1⟩, whose true SC1 is
+     59/18, and OPT2 = 4/3. *)
+  let st = State.make [| qi 2; qi 3 |] in
+  let g =
+    Game.make_uncertain ~weights:[| qi 3; qi 2; qi 1 |]
+      ~uncertainty:
+        (Array.map
+           (fun presence -> Uncertainty.participation ~presence (Belief.certain st))
+           [| q 1 2; qi 1; q 1 3 |])
+  in
+  let v1, p1 = Social.opt1_bb g and v2, p2 = Social.opt2_bb g in
+  Alcotest.check check_q "OPT1" (q 53 18) v1;
+  Alcotest.check check_q "OPT1 = exhaustive" (fst (Social.opt1 g)) v1;
+  Alcotest.check check_q "SC1 at the argmin" v1 (Pure.social_cost1 g p1);
+  Alcotest.check check_q "OPT2" (q 10 9) v2;
+  Alcotest.check check_q "OPT2 = exhaustive" (fst (Social.opt2 g)) v2;
+  Alcotest.check check_q "SC2 at the argmin" v2 (Pure.social_cost2 g p2)
+
+let test_social_bb_beyond_native () =
+  (* KP capacities whose numerators are distinct primes near 2^40, so
+     every game below has packed tables.  With two primes the lcm D of
+     the numerators spills a native int but every coefficient
+     K = cd·D/cn fits; with three primes the coefficients spill too and
+     the search runs on exact rationals. *)
+  let p1 = 1099511627791 and p2 = 1099511627803 and p3 = 1099511627831 in
+  let weights = Array.map qi [| 5; 4; 3; 2; 2; 1 |] in
+  List.iter
+    (fun capacities ->
+      let g = Game.kp ~weights ~capacities in
+      Alcotest.(check bool) "packed" true (Option.is_some (Game.packed_tables g));
+      let v1, p1 = Social.opt1_bb g and v2, p2 = Social.opt2_bb g in
+      Alcotest.check check_q "OPT1 = exhaustive" (fst (Social.opt1 g)) v1;
+      Alcotest.check check_q "SC1 at the argmin" v1 (Pure.social_cost1 g p1);
+      Alcotest.check check_q "OPT2 = exhaustive" (fst (Social.opt2 g)) v2;
+      Alcotest.check check_q "SC2 at the argmin" v2 (Pure.social_cost2 g p2))
+    [
+      [| q p1 1; q p2 2; q p1 3 |];
+      [| q p1 1; q p2 2; q p3 3 |];
+      [| q p3 7; q p1 1; q p2 2; q p3 3 |];
+    ]
+
 let test_social_guard () =
   let g = game_fixture () in
   Alcotest.check_raises "limit" (Invalid_argument "Social.opt1: 2^2 pure profiles exceed the limit 3")
@@ -301,6 +346,38 @@ let game_gen =
         Experiments.Generators.game rng ~n ~m
           ~weights:(Experiments.Generators.Rational_weights 5)
           ~beliefs:(Experiments.Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 }))
+      (int_bound 1_000_000))
+
+(* Games for the optimum properties: n = 2..8 users on m = 2..4 links,
+   KP or shared-space beliefs, integer or rational weights, every user
+   on the Bayesian, participation or strict backend, or a per-user mix
+   of the three. *)
+let opt_game_gen =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let open Experiments.Generators in
+        let rng = Prng.Rng.create seed in
+        let n = Prng.Rng.int_in rng 2 8 and m = Prng.Rng.int_in rng 2 4 in
+        let weights = if Prng.Rng.bool rng then Integer_weights 6 else Rational_weights 5 in
+        let beliefs =
+          if Prng.Rng.bool rng then Shared_point { cap_bound = 6 }
+          else Shared_space { states = 3; cap_bound = 5; grain = 4 }
+        in
+        let g = game rng ~n ~m ~weights ~beliefs in
+        let family = Prng.Rng.int rng 4 in
+        let backend i =
+          let b = Game.belief g i in
+          match if family = 3 then Prng.Rng.int rng 3 else family with
+          | 0 -> Uncertainty.bayesian b
+          | 1 -> Uncertainty.participation ~presence:(q (1 + Prng.Rng.int rng 4) 4) b
+          | _ ->
+            Uncertainty.strict_of_intervals
+              (Array.init m (fun l ->
+                   let c = Game.capacity g i l in
+                   (c, Rational.add c (qi (Prng.Rng.int rng 3)))))
+        in
+        Game.make_uncertain ~weights:(Game.weights g) ~uncertainty:(Array.init n backend))
       (int_bound 1_000_000))
 
 (* A rational in [0, 1] with a small denominator. *)
@@ -370,13 +447,18 @@ let model_properties =
         Social.iter_profiles g (fun p ->
             if Rational.compare (Pure.social_cost1 g p) opt < 0 then ok := false);
         !ok);
-    prop "branch-and-bound optima equal the exhaustive optima" game_gen (fun g ->
-        let v1, p1 = Social.opt1 g and v1', p1' = Social.opt1_bb g in
-        let v2, p2 = Social.opt2 g and v2', p2' = Social.opt2_bb g in
-        ignore (p1, p1', p2, p2');
-        Rational.equal v1 v1' && Rational.equal v2 v2'
-        && Rational.equal (Pure.social_cost1 g p1') v1
-        && Rational.equal (Pure.social_cost2 g p2') v2);
+    prop "branch-and-bound optima equal the exhaustive optima" opt_game_gen (fun g ->
+        (* Packed games run the native search, the others the exact
+           one; on both, the (value, argmin) pair is the exact
+           reference search's. *)
+        let same (v, p) (v', p') = Rational.equal v v' && p = p' in
+        let v1, p1 = Social.opt1_bb g and v2, p2 = Social.opt2_bb g in
+        Rational.equal v1 (fst (Social.opt1 g))
+        && Rational.equal v2 (fst (Social.opt2 g))
+        && Rational.equal (Pure.social_cost1 g p1) v1
+        && Rational.equal (Pure.social_cost2 g p2) v2
+        && same (v1, p1) (Social.opt1_bb_exact g)
+        && same (v2, p2) (Social.opt2_bb_exact g));
     prop "OPT2 <= OPT1 (max of positives <= their sum)" game_gen (fun g ->
         let o1, _ = Social.opt1 g and o2, _ = Social.opt2 g in
         Rational.compare o2 o1 <= 0);
@@ -467,6 +549,8 @@ let suite =
     ("mixed support", `Quick, test_mixed_support_and_fully_mixed);
     ("mixed latency formula", `Quick, test_mixed_latency_formula);
     ("social optimum", `Quick, test_social_optimum);
+    ("social bb participation", `Quick, test_social_bb_participation);
+    ("social bb beyond native ints", `Quick, test_social_bb_beyond_native);
     ("social guard", `Quick, test_social_guard);
     ("profile count", `Quick, test_profile_count);
     ("ratio at OPT", `Quick, test_ratios_at_least_one_at_opt);
