@@ -225,15 +225,16 @@ let run_enumerate file =
   let nes = Algo.Enumerate.pure_nash g in
   Printf.printf "%d pure Nash equilibria (out of %s profiles):\n" (List.length nes)
     (match Social.profile_count g with Some c -> string_of_int c | None -> "many");
-  let opt1, _ = Social.opt1 g and opt2, _ = Social.opt2 g in
+  let opt1, _ = Social.opt1_bb g and opt2, _ = Social.opt2_bb g in
   List.iter
     (fun ne ->
+      let sc1 = Pure.social_cost1 g ne and sc2 = Pure.social_cost2 g ne in
       Printf.printf "  [%s]  SC1=%s (ratio %s)  SC2=%s (ratio %s)\n"
         (String.concat "; " (Array.to_list (Array.map string_of_int ne)))
-        (Rational.to_string (Pure.social_cost1 g ne))
-        (Rational.to_string (Rational.div (Pure.social_cost1 g ne) opt1))
-        (Rational.to_string (Pure.social_cost2 g ne))
-        (Rational.to_string (Rational.div (Pure.social_cost2 g ne) opt2)))
+        (Rational.to_string sc1)
+        (Rational.to_string (Rational.div sc1 opt1))
+        (Rational.to_string sc2)
+        (Rational.to_string (Rational.div sc2 opt2)))
     nes;
   Printf.printf "OPT1 = %s, OPT2 = %s\n" (Rational.to_string opt1) (Rational.to_string opt2)
 

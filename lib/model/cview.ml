@@ -661,13 +661,6 @@ let social_cost1_terms v =
   done;
   !acc
 
-exception Overflow
-
-(* Overflow-checked arithmetic on positive native ints.  Two factors
-   below 2^31 multiply within max_int without a division. *)
-let mul_nn a b = if a lor b < 1 lsl 31 || b <= max_int / a then a * b else raise Overflow
-let add_nn a b = if a <= max_int - b then a + b else raise Overflow
-
 (* The packed lane's SC_1, factored by link.  Packed classes are
    load-linear (zero bias), so with [T_l = Σ_c n_cl/c_cl]
      SC_1 = Σ_c Σ_l n_cl·load_l/c_cl = Σ_l load_l·T_l.
@@ -675,7 +668,7 @@ let add_nn a b = if a <= max_int - b then a + b else raise Overflow
    occupied numerators ([1/c = pcd/pcn]): [nl.(l)] accumulates D·T_l,
    and with [load_l = piload_l/pscale]
      SC_1 = Σ_l piload_l·(D·T_l) / (pscale·D).
-   @raise Overflow when any native step would wrap. *)
+   @raise Packing.Overflow when any native step would wrap. *)
 let packed_social_cost1 v pk =
   let k = classes v and m = Array.length pk.piload in
   let d = ref 1 in
@@ -684,7 +677,7 @@ let packed_social_cost1 v pk =
     for l = 0 to m - 1 do
       if occ.(l) > 0 then begin
         let a = pk.pcn.(base + l) in
-        if !d mod a <> 0 then d := mul_nn (!d / Bignat.gcd_int !d a) a
+        if !d mod a <> 0 then d := Packing.mul_nn (!d / Bignat.gcd_int !d a) a
       end
     done
   done;
@@ -694,7 +687,8 @@ let packed_social_cost1 v pk =
     for l = 0 to m - 1 do
       let e = occ.(l) in
       if e > 0 then
-        nl.(l) <- add_nn nl.(l) (mul_nn (mul_nn e pk.pcd.(base + l)) (d / pk.pcn.(base + l)))
+        nl.(l) <-
+          Packing.(add_nn nl.(l) (mul_nn (mul_nn e pk.pcd.(base + l)) (d / pk.pcn.(base + l))))
     done
   done;
   let num = ref Bigint.zero in
@@ -707,7 +701,7 @@ let packed_social_cost1 v pk =
 let social_cost1 v =
   match v.lane with
   | Exact _ -> social_cost1_terms v
-  | Packed pk -> ( try packed_social_cost1 v pk with Overflow -> social_cost1_terms v)
+  | Packed pk -> ( try packed_social_cost1 v pk with Packing.Overflow -> social_cost1_terms v)
 
 let social_cost2 v =
   let acc = ref Rational.zero in

@@ -9,6 +9,7 @@ type t = {
   biases : Rational.t array; (* w_i - contribs.(i), own-latency surcharge *)
   load_linear : bool;
   packed : Packing.t option; (* native-int tables for the View fast lane *)
+  costs : Packing.costs option; (* native cost coefficients over [packed] *)
 }
 
 let validate_weights weights =
@@ -16,6 +17,16 @@ let validate_weights weights =
   Array.iter
     (fun w -> if Rational.sign w <= 0 then invalid_arg "Game.make: traffics must be positive")
     weights
+
+(* The packed lane's three-factor Nash products assume latencies of
+   the exact form load/ĉ, so only load-linear games get tables. *)
+let pack ~load_linear weights capacities =
+  let packed =
+    if load_linear then
+      Packing.build ~mults:(Array.make (Array.length weights) 1) weights capacities
+    else None
+  in
+  (packed, Option.bind packed Packing.costs)
 
 let make_uncertain ~weights ~uncertainty =
   validate_weights weights;
@@ -38,6 +49,7 @@ let make_uncertain ~weights ~uncertainty =
   in
   let biases = Array.map2 Rational.sub weights contribs in
   let load_linear = Array.for_all Uncertainty.is_load_linear uncertainty in
+  let packed, costs = pack ~load_linear weights capacities in
   {
     weights = Array.copy weights;
     uncertainty = Array.copy uncertainty;
@@ -46,12 +58,8 @@ let make_uncertain ~weights ~uncertainty =
     contribs;
     biases;
     load_linear;
-    (* The packed lane's three-factor Nash products assume latencies of
-       the exact form load/ĉ, so only load-linear games get tables. *)
-    packed =
-      (if load_linear then
-         Packing.build ~mults:(Array.make (Array.length weights) 1) weights capacities
-       else None);
+    packed;
+    costs;
   }
 
 let make ~weights ~beliefs =
@@ -113,6 +121,7 @@ let capacity_row g i =
 
 let capacity_matrix g = Array.map Array.copy g.capacities
 let packed_tables g = g.packed
+let cost_tables g = g.costs
 
 let is_kp g =
   let first = g.capacities.(0) in
@@ -131,6 +140,7 @@ let restrict g ~drop =
   let weights = pick g.weights and capacities = pick g.capacities in
   let uncertainty = pick g.uncertainty in
   let load_linear = Array.for_all Uncertainty.is_load_linear uncertainty in
+  let packed, costs = pack ~load_linear weights capacities in
   {
     weights;
     uncertainty;
@@ -139,10 +149,8 @@ let restrict g ~drop =
     contribs = pick g.contribs;
     biases = pick g.biases;
     load_linear;
-    packed =
-      (if load_linear then
-         Packing.build ~mults:(Array.make (Array.length weights) 1) weights capacities
-       else None);
+    packed;
+    costs;
   }
 
 let pp fmt g =

@@ -106,6 +106,15 @@ val capacity_matrix : t -> Numeric.Rational.t array array
     the exact lane. *)
 val packed_tables : t -> Packing.t option
 
+(** [cost_tables g] is the game's native cost coefficients over its
+    {!packed_tables} ({!Packing.costs}), computed once at construction:
+    user [i]'s latency on link [l] at scaled load [L] is
+    [L·k.(i*m + l) / den].  [None] when the game has no packed tables
+    or when a coefficient, [den] or the bound [n·wsum·max k < max_int]
+    spills.  They back the native optimum search ({!Social.opt1_bb})
+    and {!View.social_cost1} on sealed views without initial traffic. *)
+val cost_tables : t -> Packing.costs option
+
 (** [is_kp g] holds when all users share the same effective capacity
     vector — the game is (observationally) a KP-model instance. *)
 val is_kp : t -> bool

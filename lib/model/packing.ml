@@ -21,6 +21,12 @@ type t = {
 }
 
 exception Spill
+exception Overflow
+
+(* Overflow-checked arithmetic on positive native ints.  Two factors
+   below 2^31 multiply within max_int without a division. *)
+let mul_nn a b = if a lor b < 1 lsl 31 || b <= max_int / a then a * b else raise Overflow
+let add_nn a b = if a <= max_int - b then a + b else raise Overflow
 
 let to_native b =
   match Bigint.to_int_opt b with
@@ -84,6 +90,26 @@ let build ~mults (weights : Rational.t array) (capacities : Rational.t array arr
     let maxcn = !maxcn and maxcd = !maxcd in
     Some { scale; pw; cn; cd; wsum; maxcn; maxcd; base_ok = admits ~total:wsum ~maxcn ~maxcd }
   with Spill -> None
+
+type costs = { k : int array; den : int }
+
+(* With D the lcm of the capacity numerators and K = cd·(D/cn), a
+   latency (L/scale)·(cd/cn) is L·K/(scale·D): one denominator for
+   every user and link.  Any sum of n latencies at loads ≤ wsum stays
+   below n·wsum·maxK, so that one product, checked here, covers every
+   native cost sum a caller forms. *)
+let costs pk =
+  try
+    let d =
+      Array.fold_left
+        (fun d a -> if d mod a = 0 then d else mul_nn (d / Bignat.gcd_int d a) a)
+        1 pk.cn
+    in
+    let k = Array.mapi (fun r a -> mul_nn pk.cd.(r) (d / a)) pk.cn in
+    let maxk = Array.fold_left max 0 k in
+    let bound = mul_nn (Array.length pk.pw) (mul_nn pk.wsum maxk) in
+    if bound = max_int then None else Some { k; den = mul_nn pk.scale d }
+  with Overflow -> None
 
 (* [rescale pk initial] re-derives the per-view scale when a view
    carries initial link traffic: the scale grows to cover the initial

@@ -28,9 +28,27 @@ type t = {
     any scaled component exceeds the native range. *)
 val build : mults:int array -> Numeric.Rational.t array -> Numeric.Rational.t array array -> t option
 
-(** [scale_lcm from xs] is the least common multiple of [from] and
-    every element of [xs] (all positive). *)
-val scale_lcm : Numeric.Bigint.t -> Numeric.Bigint.t array -> Numeric.Bigint.t
+(** Per-user cost coefficients over one common denominator: with [D]
+    the lcm of the capacity numerators, [k.(r*m + l) = cd·(D/cn)] for
+    row [r] on link [l], so the latency of row [r] on link [l] at
+    scaled load [L] is [L·k.(r*m + l) / den] with [den = scale·D]. *)
+type costs = { k : int array; den : int }
+
+(** [costs pk] computes the {!costs} of a per-user packing (one row per
+    user, every multiplicity one) in overflow-checked native ints.
+    [None] when [D], a coefficient or [den] spills, or unless
+    [n·wsum·max k < max_int] for [n] rows — the bound under which any
+    sum of [n] latencies at scaled loads [≤ wsum], as integers over
+    [den], is native. *)
+val costs : t -> costs option
+
+exception Overflow
+
+(** [mul_nn a b] / [add_nn a b] are [a·b] / [a + b] on positive native
+    ints.  @raise Overflow when the result would exceed [max_int]. *)
+val mul_nn : int -> int -> int
+
+val add_nn : int -> int -> int
 
 (** [admits ~total ~maxcn ~maxcd] holds when
     [2·total·maxcd·maxcn <= max_int] — the single bound under which

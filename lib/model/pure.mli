@@ -73,10 +73,16 @@ val is_nash : Game.t -> ?initial:Numeric.Rational.t array -> profile -> bool
     {!View.first_and_last_defector} for just the ends). *)
 val defectors : Game.t -> ?initial:Numeric.Rational.t array -> profile -> int list
 
-(** [social_cost1 g ?initial p] is [SC1 = Σ_i λ_{i,b_i}(σ)]. *)
+(** [social_cost1 g ?initial p] is [SC1 = Σ_i λ_{i,b_i}(σ)], via
+    {!View.social_cost1} on a transient view: without [initial], a game
+    with {!Game.cost_tables} is scored in one native O(n) sum and one
+    rational, any other game by the per-user exact sum. *)
 val social_cost1 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Numeric.Rational.t
 
-(** [social_cost2 g ?initial p] is [SC2 = max_i λ_{i,b_i}(σ)]. *)
+(** [social_cost2 g ?initial p] is [SC2 = max_i λ_{i,b_i}(σ)], via
+    {!View.social_cost2}: a native cross-multiplied maximum and one
+    rational whenever the view packs, the per-user exact maximum
+    otherwise. *)
 val social_cost2 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Numeric.Rational.t
 
 val equal : profile -> profile -> bool

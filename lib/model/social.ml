@@ -144,30 +144,11 @@ let exact_bb objective g =
   | Some v -> (v, !best_profile)
   | None -> assert false
 
-(* Native-int coefficients for a packed (hence load-linear) game.  With
-   D the lcm of the capacity numerators and K_il = cd_il·(D/cn_il),
-   user i's latency on link l at scaled load L_l is L_l·K_il/(scale·D),
-   so every partial cost is an integer over the one denominator
-   scale·D.  Returns the scaled weights, K and scale·D.  Every partial
-   cost is at most n·wsum·maxK; [None] unless that bound, checked once
-   in Bigint, stays below [max_int]. *)
-let native_coefficients g (pk : Packing.t) =
-  let d = Packing.scale_lcm Bigint.one (Array.map Bigint.of_int pk.cn) in
-  let k =
-    Array.mapi
-      (fun r c -> Bigint.mul (Bigint.of_int pk.cd.(r)) (Bigint.div d (Bigint.of_int c)))
-      pk.cn
-  in
-  let maxk = Array.fold_left (fun a b -> if Bigint.compare a b >= 0 then a else b) Bigint.zero k in
-  let total = Bigint.mul (Bigint.of_int (Game.users g)) (Bigint.mul (Bigint.of_int pk.wsum) maxk) in
-  match Bigint.to_int_opt total with
-  | Some t when t < max_int ->
-    Some (pk.pw, Array.map Bigint.to_int_exn k, Bigint.mul (Bigint.of_int pk.scale) d)
-  | _ -> None
-
-(* The exact search's twin on native ints: the same order, the same
-   pruning and incumbent rules over costs that compare exactly like the
-   rationals, hence the same nodes, value and argmin.  [agg.(l)] is
+(* The exact search's twin on native ints, over the game's cost tables
+   ([Game.cost_tables]: latency L_l·K_il/den at scaled load L_l, and no
+   partial cost reaches max_int): the same order, the same pruning and
+   incumbent rules over costs that compare exactly like the rationals,
+   hence the same nodes, value and argmin.  [agg.(l)] is
    S_l = Σ K (SC_1) or max K (SC_2) over the users on l, which makes a
    node O(1): placing u on l adds pw_u·S_l + (L_l + pw_u)·K_ul to the
    partial SC_1, and the partial SC_2 is max_l L_l·Kmax_l, where only
@@ -209,11 +190,11 @@ let native_bb objective g pw k =
   (!best, !best_profile)
 
 let optimum_bb objective g =
-  match Option.bind (Game.packed_tables g) (native_coefficients g) with
-  | Some (pw, k, den) ->
-    let v, p = native_bb objective g pw k in
-    (Rational.make (Bigint.of_int v) den, p)
-  | None -> exact_bb objective g
+  match (Game.packed_tables g, Game.cost_tables g) with
+  | Some pk, Some c ->
+    let v, p = native_bb objective g pk.Packing.pw c.Packing.k in
+    (Rational.make (Bigint.of_int v) (Bigint.of_int c.Packing.den), p)
+  | _ -> exact_bb objective g
 
 let opt1_bb g = optimum_bb Sum g
 let opt2_bb g = optimum_bb Max g

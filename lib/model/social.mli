@@ -44,12 +44,11 @@ val ratio2 : ?limit:int -> Game.t -> Mixed.profile -> Numeric.Rational.t
     incumbent, and the incumbent changes only on strict improvement, so
     the argmin is the first strict minimum in that depth-first order.
 
-    A game with packed tables ({!Game.packed_tables}: load-linear, with
-    every scaled component native) whose partial costs, scaled to
-    integers over one common denominator, provably stay below
-    [max_int] runs the search on native ints with an O(1) bound update
-    per node; every other game runs it on exact rationals
-    ({!opt1_bb_exact}).  Both paths visit the same nodes and return the
+    A game with cost tables ({!Game.cost_tables}: packed, with every
+    latency an integer over one common denominator and every partial
+    cost provably below [max_int]) runs the search on native ints with
+    an O(1) bound update per node; every other game runs it on exact
+    rationals ({!opt1_bb_exact}).  Both paths visit the same nodes and return the
     same value and argmin profile.  Exact on every uncertainty backend
     (loads carry contributions, own latencies carry biases); equality
     with {!opt1}/{!opt2} is property-tested on Bayesian, participation

@@ -589,6 +589,14 @@ let best_response_for v i =
    The kernel is backend-agnostic as written: a deviation numerator is
    load + contribution + bias = load + w for every backend, and
    [current] already carries the bias through [latency]. *)
+let[@inline] exact_improves v loads i current w l =
+  l <> v.prof.(i) && Rational.compare_sum loads.(l) w (Rational.mul current (u_cap v i l)) < 0
+
+(* [cnum/ccn] is the current latency times the scale, [base] user i's
+   row in the capacity tables. *)
+let[@inline] packed_improves pk base cur w cnum ccn l =
+  l <> cur && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
+
 let improving_moves v i =
   let moves = ref [] in
   (match v.lane with
@@ -596,52 +604,42 @@ let improving_moves v i =
      let current = latency v i in
      let w = u_weight v i in
      for l = links v - 1 downto 0 do
-       if
-         l <> v.prof.(i)
-         && Rational.compare_sum loads.(l) w (Rational.mul current (u_cap v i l)) < 0
-       then moves := l :: !moves
+       if exact_improves v loads i current w l then moves := l :: !moves
      done
    | Packed pk ->
      let m = Array.length pk.piload in
      let base = i * m and cur = v.prof.(i) and w = pk.ppw.(i) in
      let cnum = pk.piload.(cur) * pk.pcd.(base + cur) and ccn = pk.pcn.(base + cur) in
      for l = m - 1 downto 0 do
-       if l <> cur && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
-       then moves := l :: !moves
+       if packed_improves pk base cur w cnum ccn l then moves := l :: !moves
      done);
   !moves
 
+(* Plain loops rather than local recursive functions, which would
+   allocate a closure per call: [is_nash] runs once per profile in
+   exhaustive sweeps and [is_defector] once per user in each. *)
 let is_defector v i =
-  match v.lane with
-  | Exact loads ->
-    let current = latency v i in
-    let w = u_weight v i in
-    let m = links v in
-    let rec scan l =
-      if l >= m then false
-      else if
-        l <> v.prof.(i)
-        && Rational.compare_sum loads.(l) w (Rational.mul current (u_cap v i l)) < 0
-      then true
-      else scan (l + 1)
-    in
-    scan 0
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = i * m and cur = v.prof.(i) and w = pk.ppw.(i) in
-    let cnum = pk.piload.(cur) * pk.pcd.(base + cur) and ccn = pk.pcn.(base + cur) in
-    let rec scan l =
-      if l >= m then false
-      else if l <> cur && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
-      then true
-      else scan (l + 1)
-    in
-    scan 0
+  let m = links v and l = ref 0 in
+  (match v.lane with
+   | Exact loads ->
+     let current = latency v i and w = u_weight v i in
+     while !l < m && not (exact_improves v loads i current w !l) do
+       incr l
+     done
+   | Packed pk ->
+     let base = i * m and cur = v.prof.(i) and w = pk.ppw.(i) in
+     let cnum = pk.piload.(cur) * pk.pcd.(base + cur) and ccn = pk.pcn.(base + cur) in
+     while !l < m && not (packed_improves pk base cur w cnum ccn !l) do
+       incr l
+     done);
+  !l < m
 
 let is_nash v =
-  let n = users v in
-  let rec check i = i >= n || (((not (is_active v i)) || not (is_defector v i)) && check (i + 1)) in
-  check 0
+  let n = users v and i = ref 0 in
+  while !i < n && not (is_active v !i && is_defector v !i) do
+    incr i
+  done;
+  !i >= n
 
 let defectors v =
   List.filter (fun i -> is_active v i && is_defector v i) (List.init (users v) Fun.id)
@@ -656,19 +654,55 @@ let first_and_last_defector v =
   done;
   if !first < 0 then None else Some (!first, !last)
 
+(* On a sealed packed view without initial traffic the lane still reads
+   the game's packing unchanged ([ptotal = wsum] rules out initial
+   traffic, whose rescale would raise the total), so the game's cost
+   tables apply: SC_1 = Σ_i L_{p_i}·K_{i,p_i} / den, one native sum
+   bounded by construction of the tables. *)
 let social_cost1 v =
-  let acc = ref Rational.zero in
-  for i = 0 to users v - 1 do
-    if is_active v i then acc := Rational.add !acc (latency v i)
-  done;
-  !acc
+  match (v.lane, v.ext, Game.packed_tables v.game, Game.cost_tables v.game) with
+  | Packed pk, None, Some gp, Some c when pk.ptotal = gp.Packing.wsum ->
+    let m = Array.length pk.piload and k = c.Packing.k in
+    let acc = ref 0 in
+    for i = 0 to Array.length v.prof - 1 do
+      let l = v.prof.(i) in
+      acc := !acc + (pk.piload.(l) * k.((i * m) + l))
+    done;
+    Rational.make (Bigint.of_int !acc) (Bigint.of_int c.Packing.den)
+  | _ ->
+    let acc = ref Rational.zero in
+    for i = 0 to users v - 1 do
+      if is_active v i then acc := Rational.add !acc (latency v i)
+    done;
+    !acc
 
+(* On the packed lane the largest latency (L·cd)/(scale·cn) is tracked
+   as the int pair (L·cd, cn) and compared by cross products, as in
+   [best_response_for]; every product stays within the packed bound. *)
 let social_cost2 v =
-  let acc = ref Rational.zero in
-  for i = 0 to users v - 1 do
-    if is_active v i then acc := Rational.max !acc (latency v i)
-  done;
-  !acc
+  match v.lane with
+  | Exact _ ->
+    let acc = ref Rational.zero in
+    for i = 0 to users v - 1 do
+      if is_active v i then acc := Rational.max !acc (latency v i)
+    done;
+    !acc
+  | Packed pk ->
+    let m = Array.length pk.piload in
+    let bnum = ref 0 and bcn = ref 1 in
+    for i = 0 to users v - 1 do
+      if is_active v i then begin
+        let l = v.prof.(i) in
+        let idx = (i * m) + l in
+        let a = pk.piload.(l) * pk.pcd.(idx) in
+        if a * !bcn > !bnum * pk.pcn.(idx) then begin
+          bnum := a;
+          bcn := pk.pcn.(idx)
+        end
+      end
+    done;
+    Rational.make (Bigint.of_int !bnum)
+      (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int !bcn))
 
 (* Re-materialise a per-user game over the active slots, in slot
    order, together with the slot index of each new user.  Slots whose

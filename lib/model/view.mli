@@ -191,13 +191,23 @@ val defectors : t -> int list
 val first_and_last_defector : t -> (int * int) option
 
 (** [is_nash v] holds when no user can strictly improve by switching
-    links. O(n·m). *)
+    links. O(n·m); on the packed lane it allocates nothing. *)
 val is_nash : t -> bool
 
-(** [social_cost1 v] is [SC1 = Σ_i λ_{i,b_i}]. O(n). *)
+(** [social_cost1 v] is [SC1 = Σ_i λ_{i,b_i}] over the active users.
+    O(n).  A sealed packed view without initial traffic sums
+    [L_{p_i}·K_{i,p_i}] in native ints over the game's
+    {!Game.cost_tables} and builds one rational; every other view sums
+    the per-user exact latencies.  Both return the same canonical
+    rational. *)
 val social_cost1 : t -> Numeric.Rational.t
 
-(** [social_cost2 v] is [SC2 = max_i λ_{i,b_i}]. O(n). *)
+(** [social_cost2 v] is [SC2 = max_i λ_{i,b_i}] over the active users.
+    O(n).  On the packed lane (sealed or not, with or without initial
+    traffic) the maximum is taken by native cross products, as in
+    {!best_response_for}, and one rational is built; on the exact lane
+    it is the per-user exact maximum.  Both return the same canonical
+    rational. *)
 val social_cost2 : t -> Numeric.Rational.t
 
 (** [sweep g ?initial f] calls [f] on a view positioned at every pure

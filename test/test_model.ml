@@ -286,26 +286,29 @@ let test_social_bb_participation () =
   Alcotest.check check_q "SC2 at the argmin" v2 (Pure.social_cost2 g p2)
 
 let test_social_bb_beyond_native () =
-  (* KP capacities whose numerators are distinct primes near 2^40, so
-     every game below has packed tables.  With two primes the lcm D of
-     the numerators spills a native int but every coefficient
-     K = cd·D/cn fits; with three primes the coefficients spill too and
-     the search runs on exact rationals. *)
+  (* KP capacities whose numerators are primes near 2^40, so every game
+     below has packed tables.  With one prime the cost tables
+     (Game.cost_tables) fit and the search runs on native ints over a
+     denominator near 2^40; with two or three distinct primes the lcm D
+     of the numerators spills a native int, the game has no cost tables
+     and the search runs on exact rationals. *)
   let p1 = 1099511627791 and p2 = 1099511627803 and p3 = 1099511627831 in
   let weights = Array.map qi [| 5; 4; 3; 2; 2; 1 |] in
   List.iter
-    (fun capacities ->
+    (fun (capacities, native) ->
       let g = Game.kp ~weights ~capacities in
       Alcotest.(check bool) "packed" true (Option.is_some (Game.packed_tables g));
+      Alcotest.(check bool) "cost tables" native (Option.is_some (Game.cost_tables g));
       let v1, p1 = Social.opt1_bb g and v2, p2 = Social.opt2_bb g in
       Alcotest.check check_q "OPT1 = exhaustive" (fst (Social.opt1 g)) v1;
       Alcotest.check check_q "SC1 at the argmin" v1 (Pure.social_cost1 g p1);
       Alcotest.check check_q "OPT2 = exhaustive" (fst (Social.opt2 g)) v2;
       Alcotest.check check_q "SC2 at the argmin" v2 (Pure.social_cost2 g p2))
     [
-      [| q p1 1; q p2 2; q p1 3 |];
-      [| q p1 1; q p2 2; q p3 3 |];
-      [| q p3 7; q p1 1; q p2 2; q p3 3 |];
+      ([| q p1 1; q p1 2; q p1 3 |], true);
+      ([| q p1 1; q p2 2; q p1 3 |], false);
+      ([| q p1 1; q p2 2; q p3 3 |], false);
+      ([| q p3 7; q p1 1; q p2 2; q p3 3 |], false);
     ]
 
 let test_social_guard () =

@@ -359,6 +359,175 @@ let test_social_opt_domains_bit_identity () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Native social costs: View.social_cost1/2 against the per-user exact
+   sum and max, on every kind of view — sealed views reading the
+   game's cost tables, views with initial traffic, unsealed views after
+   structural deltas, non-load-linear (exact-lane) games and a packed
+   game whose cost tables overflow. *)
+
+let reference_costs v =
+  let sc1 = ref Rational.zero and sc2 = ref Rational.zero in
+  for i = 0 to View.users v - 1 do
+    if View.is_active v i then begin
+      let lat = View.latency v i in
+      sc1 := Rational.add !sc1 lat;
+      sc2 := Rational.max !sc2 lat
+    end
+  done;
+  (!sc1, !sc2)
+
+(* Equal values and equal renderings: the native paths must return
+   the canonical rational the per-user path builds. *)
+let check_costs what v =
+  let sc1, sc2 = reference_costs v in
+  let same a b = Rational.equal a b && Rational.to_string a = Rational.to_string b in
+  if not (same (View.social_cost1 v) sc1) then
+    Alcotest.failf "%s: social_cost1 %s, per-user sum %s" what
+      (Rational.to_string (View.social_cost1 v)) (Rational.to_string sc1);
+  if not (same (View.social_cost2 v) sc2) then
+    Alcotest.failf "%s: social_cost2 %s, per-user max %s" what
+      (Rational.to_string (View.social_cost2 v)) (Rational.to_string sc2)
+
+(* The cost tables recomputed in Bigint: D = lcm of the capacity
+   numerators, K = cd·(D/cn), den = scale·D, kept only when every K
+   and den are native and n·wsum·maxK < max_int. *)
+let reference_cost_tables g =
+  match Game.packed_tables g with
+  | None -> None
+  | Some pk ->
+    let d =
+      Array.fold_left
+        (fun d c ->
+          let c = Bigint.of_int c in
+          Bigint.mul d (Bigint.div c (Bigint.gcd d c)))
+        Bigint.one pk.Packing.cn
+    in
+    let k =
+      Array.mapi
+        (fun r c -> Bigint.mul (Bigint.of_int pk.Packing.cd.(r)) (Bigint.div d (Bigint.of_int c)))
+        pk.Packing.cn
+    in
+    let maxk =
+      Array.fold_left (fun a b -> if Bigint.compare a b >= 0 then a else b) Bigint.zero k
+    in
+    let bound =
+      Bigint.mul (Bigint.of_int (Game.users g)) (Bigint.mul (Bigint.of_int pk.Packing.wsum) maxk)
+    in
+    let den = Bigint.mul (Bigint.of_int pk.Packing.scale) d in
+    (match (Bigint.to_int_opt bound, Bigint.to_int_opt den) with
+     | Some b, Some den when b < max_int ->
+       Some { Packing.k = Array.map Bigint.to_int_exn k; den }
+     | _ -> None)
+
+let check_cost_tables what g =
+  if Game.cost_tables g <> reference_cost_tables g then
+    Alcotest.failf "%s: cost tables differ from the Bigint reference" what
+
+(* KP capacities whose numerators are distinct primes near 2^40: the
+   game packs, but the lcm of the numerators spills a native int. *)
+let overflowing_game () =
+  let p1 = 1099511627791 and p2 = 1099511627803 and p3 = 1099511627831 in
+  Game.kp
+    ~weights:(Array.map Rational.of_int [| 5; 4; 3; 2; 1 |])
+    ~capacities:[| Rational.of_int p1; Rational.of_ints p2 2; Rational.of_ints p3 3 |]
+
+let random_backend_game rng =
+  let n = Rng.int_in rng 2 6 and m = Rng.int_in rng 2 4 in
+  let weights = Array.init n (fun _ -> Rng.rational rng ~den_bound:4) in
+  let weights = Array.map (fun w -> Rational.add w Rational.one) weights in
+  let cap () = Rational.of_ints (1 + Rng.int rng 6) (1 + Rng.int rng 3) in
+  (* All strict (load-linear, so packed), all participation, or mixed
+     (neither is packed). *)
+  let kind = Rng.int rng 3 in
+  let uncertainty =
+    Array.init n (fun _ ->
+        if kind = 0 || (kind = 2 && Rng.bool rng) then
+          Uncertainty.strict_of_intervals
+            (Array.init m (fun _ ->
+                 let lo = cap () in
+                 (lo, Rational.add lo (Rational.of_int (Rng.int rng 3)))))
+        else
+          Uncertainty.participation
+            ~presence:(Rational.of_ints (1 + Rng.int rng 4) 4)
+            (Belief.certain (State.make (Array.init m (fun _ -> cap ())))))
+  in
+  Game.make_uncertain ~weights ~uncertainty
+
+let test_native_social_costs () =
+  let rng = Rng.create 0x5C05 in
+  let native_views = ref 0 in
+  (* Sealed views over Bayesian games (KP, private and shared-space
+     beliefs), half of them with initial traffic, walked by moves. *)
+  for _ = 1 to 400 do
+    let g = random_game rng in
+    check_cost_tables "bayesian game" g;
+    let n = Game.users g and m = Game.links g in
+    let initial = random_initial rng m in
+    let v = View.of_profile g ?initial (Array.init n (fun _ -> Rng.int rng m)) in
+    for _ = 1 to 8 do
+      if View.packed v && initial = None && Game.cost_tables g <> None then incr native_views;
+      check_costs "sealed view" v;
+      View.move v (Rng.int rng n) (Rng.int rng m)
+    done
+  done;
+  if !native_views < 1_000 then
+    Alcotest.failf "only %d sealed views read the cost tables (wanted >= 1000)" !native_views;
+  (* Strict and participation backends. *)
+  let strict_tables = ref 0 in
+  for _ = 1 to 200 do
+    let g = random_backend_game rng in
+    check_cost_tables "backend game" g;
+    if Game.cost_tables g <> None then incr strict_tables;
+    let n = Game.users g and m = Game.links g in
+    check_costs "backend game" (View.of_profile g (Array.init n (fun _ -> Rng.int rng m)))
+  done;
+  if !strict_tables < 50 then
+    Alcotest.failf "only %d strict games have cost tables (wanted >= 50)" !strict_tables;
+  (* Unsealed views: arrivals, departures and capacity revisions, each
+     checked, then undone one by one. *)
+  for _ = 1 to 200 do
+    let g = random_game rng in
+    let n = Game.users g and m = Game.links g in
+    let v = View.of_profile g (Array.init n (fun _ -> Rng.int rng m)) in
+    let ops = 1 + Rng.int rng 6 in
+    for _ = 1 to ops do
+      (match Rng.int rng 3 with
+       | 0 ->
+         ignore
+           (View.add_user v ~weight:(Rational.of_ints (1 + Rng.int rng 4) (1 + Rng.int rng 2))
+              ~capacities:(Array.init m (fun _ -> Rational.of_int (1 + Rng.int rng 6)))
+              ~link:(Rng.int rng m) ())
+       | 1 ->
+         let i = Rng.int rng (View.users v) in
+         if View.is_active v i && View.active_users v > 1 then View.remove_user v i
+       | _ ->
+         let i = Rng.int rng (View.users v) in
+         if View.is_active v i then
+           View.revise_capacity v ~user:i ~link:(Rng.int rng m)
+             (Rational.of_ints (1 + Rng.int rng 6) (1 + Rng.int rng 2)));
+      check_costs "unsealed view" v;
+      let g', idx = View.to_game v in
+      let v' = View.of_profile g' (Array.map (View.link v) idx) in
+      if not (Rational.equal (View.social_cost1 v) (View.social_cost1 v')) then
+        Alcotest.fail "unsealed social_cost1 differs from the re-materialised view";
+      if not (Rational.equal (View.social_cost2 v) (View.social_cost2 v')) then
+        Alcotest.fail "unsealed social_cost2 differs from the re-materialised view"
+    done;
+    while View.depth v > 0 do
+      View.undo v;
+      check_costs "undone view" v
+    done
+  done;
+  (* Packed tables without cost tables: every profile of the game. *)
+  let g = overflowing_game () in
+  if Game.packed_tables g = None then Alcotest.fail "prime-capacity game did not pack";
+  if Game.cost_tables g <> None then Alcotest.fail "spilling cost tables were kept";
+  check_cost_tables "overflowing game" g;
+  View.sweep g (fun v ->
+      if not (View.packed v) then Alcotest.fail "prime-capacity view left the packed lane";
+      check_costs "overflowing game" v)
+
+(* ------------------------------------------------------------------ *)
 (* Guard rails                                                         *)
 
 let test_validation () =
@@ -431,5 +600,6 @@ let () =
           ("opt1/opt2 are domain-count invariant", `Quick, test_social_opt_domains_bit_identity);
           ("validation and empty-history errors", `Quick, test_validation);
           ("ownership sanitizer guards move/undo", `Quick, test_ownership_guard);
+          ("native social costs match the per-user sum", `Quick, test_native_social_costs);
         ] );
     ]
