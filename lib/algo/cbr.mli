@@ -1,6 +1,7 @@
 (** Best-response dynamics over class profiles: maximal improving
-    blocks instead of single users, so each step is O(k·m²) and the
-    total work never scales with the population size [n].
+    blocks instead of single users, so each step is O(k·m) on the
+    packed lane (O(k·m²) on the exact lane) and the total work never
+    scales with the population size [n].
 
     Each step takes the class layer's first defector — the exact
     (class, link) pair the per-user first-defector policy would pick on

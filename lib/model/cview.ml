@@ -529,33 +529,34 @@ let best_response_for v ~cls ~src =
 
 (* The Nash inequality rides [Rational.compare_sum] on the exact lane
    ((load_l + w)/cap_l < current ⟺ load_l + w < current·cap_l) and a
-   three-factor native product on the packed lane. *)
+   three-factor native product on the packed lane.  Plain loops rather
+   than local recursive functions, which would allocate a closure per
+   call. *)
 let is_defector v ~cls ~src =
-  match v.lane with
-  | Exact loads ->
-    let current = latency v cls src in
-    let w = v.weights.(cls) in
-    let m = links v in
-    let rec scan l =
-      if l >= m then false
-      else if
-        l <> src
-        && Rational.compare_sum loads.(l) w (Rational.mul current v.caps.(cls).(l)) < 0
-      then true
-      else scan (l + 1)
-    in
-    scan 0
-  | Packed pk ->
-    let m = Array.length pk.piload in
-    let base = cls * m and w = pk.ppw.(cls) in
-    let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
-    let rec scan l =
-      if l >= m then false
-      else if l <> src && (pk.piload.(l) + w) * pk.pcd.(base + l) * ccn < cnum * pk.pcn.(base + l)
-      then true
-      else scan (l + 1)
-    in
-    scan 0
+  let m = links v and l = ref 0 in
+  (match v.lane with
+   | Exact loads ->
+     let current = latency v cls src and w = v.weights.(cls) and caps = v.caps.(cls) in
+     while
+       !l < m
+       && not
+            (!l <> src
+             && Rational.compare_sum loads.(!l) w (Rational.mul current caps.(!l)) < 0)
+     do
+       incr l
+     done
+   | Packed pk ->
+     let base = cls * m and w = pk.ppw.(cls) in
+     let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
+     while
+       !l < m
+       && not
+            (!l <> src
+             && (pk.piload.(!l) + w) * pk.pcd.(base + !l) * ccn < cnum * pk.pcn.(base + !l))
+     do
+       incr l
+     done);
+  !l < m
 
 (* Single-destination restriction of [is_defector]: does moving into
    [dst] strictly improve?  Native three-factor products on the packed
@@ -576,44 +577,122 @@ let improves v ~cls ~src dst =
        (pk.piload.(dst) + w) * pk.pcd.(base + dst) * pk.pcn.(base + src)
        < pk.piload.(src) * pk.pcd.(base + src) * pk.pcn.(base + dst))
 
-(* Class ascending, source link ascending: the exact order in which
-   [Cgame.expand_profile] lays out the users, so this is the per-user
-   first-defector choice computed without any per-user work. *)
-let first_defector v =
-  let k = classes v and m = links v in
-  match v.lane with
-  | Exact _ ->
-    let rec over_links c l =
-      if l >= m then over_classes (c + 1)
-      else if v.assign.(c).(l) > 0 then begin
-        let target, best = best_response_for v ~cls:c ~src:l in
-        if Rational.compare best (latency v c l) < 0 then Some (c, l, target)
-        else over_links c (l + 1)
-      end
-      else over_links c (l + 1)
-    and over_classes c = if c >= k then None else over_links c 0 in
-    over_classes 0
-  | Packed pk ->
-    let rec over_links c l =
-      if l >= m then over_classes (c + 1)
-      else if v.assign.(c).(l) > 0 then begin
-        let target, bnum, bcn = packed_best pk ~cls:c ~src:l in
-        let base = c * m in
-        let cnum = pk.piload.(l) * pk.pcd.(base + l) and ccn = pk.pcn.(base + l) in
-        if bnum * ccn < cnum * bcn then Some (c, l, target) else over_links c (l + 1)
-      end
-      else over_links c (l + 1)
-    and over_classes c = if c >= k then None else over_links c 0 in
-    over_classes 0
+(* Class-major packed pass.  A user of class [cls] arriving on link l
+   costs (L_l + w)·cd_l / (scale·cn_l) whatever its source, so one O(m)
+   pass over the links finds the lowest arrival cost, over all links
+   and over the touched ones, each as the int pair (num, cn).  "Some
+   link in S improves on the current cost" holds exactly when "the
+   minimum over S is below it", so each occupied source s is settled by
+   one cross-multiplied compare against its current cost
+   L_s·cd_s / (scale·cn_s): against the minimum over all links when
+   [wide] or s is touched, over the touched links otherwise (a clean
+   source is untouched, so s is not among them).  The minimum over all
+   links may be s itself, which then improves on nothing: its arrival
+   cost (L_s + w)·cd_s/cn_s exceeds its current cost, so its users
+   have no cheaper link and the compare rightly fails — no second-best
+   is needed.  Every product is at most 2·total·maxcd·maxcn, within the
+   [Packing.admits] bound (w ≤ total as every class is occupied).
+   Returns the first improving source in link order, or -1. *)
+let packed_class pk occ ~wide touched cls =
+  let m = Array.length pk.piload in
+  let base = cls * m and w = pk.ppw.(cls) in
+  (* A denominator of 0 marks "no link seen yet". *)
+  let an = ref 0 and ad = ref 0 and tn = ref 0 and td = ref 0 in
+  for l = 0 to m - 1 do
+    let a = (pk.piload.(l) + w) * pk.pcd.(base + l) and cn = pk.pcn.(base + l) in
+    if !ad = 0 || a * !ad < !an * cn then begin
+      an := a;
+      ad := cn
+    end;
+    if (not wide) && touched.(l) && (!td = 0 || a * !td < !tn * cn) then begin
+      tn := a;
+      td := cn
+    end
+  done;
+  let found = ref (-1) and s = ref 0 in
+  while !found < 0 && !s < m do
+    let src = !s in
+    if occ.(src) > 0 then begin
+      let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
+      let improving =
+        if wide || touched.(src) then !an * ccn < cnum * !ad
+        else !td > 0 && !tn * ccn < cnum * !td
+      in
+      if improving then found := src
+    end;
+    incr s
+  done;
+  !found
 
-let is_nash v =
+(* The exact lane's per-pair form of the same rule: the full defector
+   check when [wide] or the source is touched, moves into touched links
+   otherwise. *)
+let exact_class v ~wide touched cls =
+  let m = links v and occ = v.assign.(cls) in
+  let found = ref (-1) and s = ref 0 in
+  while !found < 0 && !s < m do
+    let src = !s in
+    if occ.(src) > 0 then begin
+      let improving =
+        if wide || touched.(src) then is_defector v ~cls ~src
+        else begin
+          let l = ref 0 in
+          while !l < m && not (touched.(!l) && improves v ~cls ~src !l) do
+            incr l
+          done;
+          !l < m
+        end
+      in
+      if improving then found := src
+    end;
+    incr s
+  done;
+  !found
+
+(* Class ascending, source link ascending: the exact order in which
+   [Cgame.expand_profile] lays out the users.  The first improving pair
+   as [cls·m + src], or -1.  [full] checks every pair against every
+   link and reads neither set. *)
+let first_pair v ~full touched dirty lo hi =
+  let src = ref (-1) and c = ref lo in
+  while !src < 0 && !c < hi do
+    let wide = full || dirty.(!c) in
+    src :=
+      (match v.lane with
+       | Packed pk -> packed_class pk v.assign.(!c) ~wide touched !c
+       | Exact _ -> exact_class v ~wide touched !c);
+    if !src < 0 then incr c
+  done;
+  if !src < 0 then -1 else (!c * links v) + !src
+
+let first_candidate v ~touched ~dirty ~lo ~hi =
   let k = classes v and m = links v in
-  let rec over_links c l =
-    if l >= m then over_classes (c + 1)
-    else if v.assign.(c).(l) > 0 && is_defector v ~cls:c ~src:l then false
-    else over_links c (l + 1)
-  and over_classes c = c >= k || over_links c 0 in
-  over_classes 0
+  if Array.length touched <> m then
+    invalid_arg "Cview.first_candidate: touched length differs from link count";
+  if Array.length dirty <> k then
+    invalid_arg "Cview.first_candidate: dirty length differs from class count";
+  if lo < 0 || lo > hi || hi > k then
+    invalid_arg "Cview.first_candidate: class range out of bounds";
+  let p = first_pair v ~full:false touched dirty lo hi in
+  if p < 0 then None else Some (p / m, p mod m)
+
+let first_defector v =
+  let m = links v in
+  let p = first_pair v ~full:true [||] [||] 0 (classes v) in
+  if p < 0 then None
+  else begin
+    let cls = p / m and src = p mod m in
+    let target =
+      match v.lane with
+      | Packed pk ->
+        let t, _, _ = packed_best pk ~cls ~src in
+        t
+      | Exact _ -> fst (best_response_for v ~cls ~src)
+    in
+    Some (cls, src, target)
+  end
+
+let is_nash v = first_pair v ~full:true [||] [||] 0 (classes v) < 0
 
 (* The j-th sequential mover (j ≥ 1) improves iff
      (load_dst + (j-1)·t + w + β)·/c_dst < (load_src - (j-1)·t + β)/c_src
@@ -622,31 +701,46 @@ let is_nash v =
      q = (Δ + t/c_src) / (t·(1/c_dst + 1/c_src)),
    Δ = (load_src + β)/c_src − (load_dst + β)/c_dst.  The valid j form
    a prefix (LHS grows, RHS shrinks), so the maximal block is the
-   largest integer strictly below q, clamped to the available users. *)
+   largest integer strictly below q, clamped to the available users.
+
+   On the packed lane (β = 0, 1/c = cd/cn) multiplying through by
+   cn_src·cn_dst gives j·D < N with A = cd_dst·cn_src,
+   B = cd_src·cn_dst, N = (L_src + w)·B − L_dst·A and D = w·(A + B),
+   so the block is (N − 1)/D for N > 0.  L_src + w ≤ 2·total, L_dst
+   and w are ≤ total, and A, B ≤ maxcd·maxcn, so every product fits
+   the [Packing.admits] bound. *)
 let max_improving_block v ~cls ~src ~dst =
   let k = classes v and m = links v in
   if cls < 0 || cls >= k then invalid_arg "Cview.max_improving_block: class out of range";
   if src < 0 || src >= m || dst < 0 || dst >= m then
     invalid_arg "Cview.max_improving_block: link out of range";
   if src = dst then invalid_arg "Cview.max_improving_block: source and destination coincide";
-  let t = v.contribs.(cls) in
-  let cap_s = v.caps.(cls).(src) and cap_d = v.caps.(cls).(dst) in
-  let delta =
-    Rational.sub
-      (Rational.div (biased v cls (load v src)) cap_s)
-      (Rational.div (biased v cls (load v dst)) cap_d)
-  in
-  let q =
-    Rational.div
-      (Rational.add delta (Rational.div t cap_s))
-      (Rational.mul t (Rational.add (Rational.inv cap_d) (Rational.inv cap_s)))
-  in
   let avail = v.assign.(cls).(src) in
-  if Rational.compare q Rational.one <= 0 then 0
-  else if Rational.compare q (Rational.of_int avail) > 0 then avail
-  else
-    (* q ∈ (1, avail]: ceil(q) − 1 ∈ [1, avail] fits a native int. *)
-    Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
+  match v.lane with
+  | Packed pk ->
+    let base = cls * m and w = pk.ppw.(cls) in
+    let a = pk.pcd.(base + dst) * pk.pcn.(base + src)
+    and b = pk.pcd.(base + src) * pk.pcn.(base + dst) in
+    let n = ((pk.piload.(src) + w) * b) - (pk.piload.(dst) * a) in
+    if n <= 0 then 0 else min avail ((n - 1) / (w * (a + b)))
+  | Exact _ ->
+    let t = v.contribs.(cls) in
+    let cap_s = v.caps.(cls).(src) and cap_d = v.caps.(cls).(dst) in
+    let delta =
+      Rational.sub
+        (Rational.div (biased v cls (load v src)) cap_s)
+        (Rational.div (biased v cls (load v dst)) cap_d)
+    in
+    let q =
+      Rational.div
+        (Rational.add delta (Rational.div t cap_s))
+        (Rational.mul t (Rational.add (Rational.inv cap_d) (Rational.inv cap_s)))
+    in
+    if Rational.compare q Rational.one <= 0 then 0
+    else if Rational.compare q (Rational.of_int avail) > 0 then avail
+    else
+      (* q ∈ (1, avail]: ceil(q) − 1 ∈ [1, avail] fits a native int. *)
+      Bigint.to_int_exn (Rational.num (Rational.sub (Rational.ceil q) Rational.one))
 
 (* Per-term SC_1: one canonical latency per occupied (class, link)
    pair, weighted by its count.  The exact lane's sum, and the packed

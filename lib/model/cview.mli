@@ -6,8 +6,8 @@
     moving from one link to another — in O(1) exact rational updates,
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
-    is O(k·m²) and the social costs are O(k·m): no operation ever
-    scales with [n].
+    is O(k·m) on the packed lane (O(k·m²) on the exact lane) and the
+    social costs are O(k·m): no operation ever scales with [n].
 
     All per-user predicates survive compression exactly: users of one
     class on one link are interchangeable, so "some user defects" is a
@@ -157,7 +157,8 @@ val best_response_for : t -> cls:int -> src:int -> int * Numeric.Rational.t
 
 (** [is_defector v ~cls ~src] holds when a class-[cls] user on [src]
     has a strictly improving move.  Meaningful when
-    [assigned v cls src > 0].  O(m). *)
+    [assigned v cls src > 0].  O(m), allocation-free on the packed
+    lane. *)
 val is_defector : t -> cls:int -> src:int -> bool
 
 (** [improves v ~cls ~src dst] holds when moving one class-[cls] user
@@ -167,15 +168,41 @@ val is_defector : t -> cls:int -> src:int -> bool
     may probe candidate destinations one at a time. *)
 val improves : t -> cls:int -> src:int -> int -> bool
 
+(** [first_candidate v ~touched ~dirty ~lo ~hi] is the first occupied
+    (class, link) pair — class ascending from [lo] to [hi - 1], then link
+    ascending — that a restricted repair scan must move.  A pair whose
+    class is [dirty] or whose link is [touched] qualifies when it
+    {!is_defector}; any other pair qualifies when it {!improves} by
+    moving into some touched link.  [touched] has one entry per link,
+    [dirty] one per class; neither is modified.
+
+    On the packed lane the scan is class-major: one O(m) pass per class
+    finds the lowest cost of arriving on a link, over all links and
+    over the touched ones, and each occupied source is settled by one
+    compare against its own latency, so the scan is O(k·m) and
+    allocates nothing unless it returns a pair.  Every
+    verdict equals the per-pair one (an improving link exists exactly
+    when the minimum is below the current latency).  The exact lane
+    runs the per-pair checks, O(k·m²).  Read-only on the view, so
+    domains may share it.
+    @raise Invalid_argument when an array length or the class range is
+    wrong. *)
+val first_candidate :
+  t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> (int * int) option
+
 (** [first_defector v] is the first occupied (class, link) pair — class
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
     first-defector policy would pick on the expanded profile.
-    [None] at a Nash equilibrium.  O(k·m²). *)
+    [None] at a Nash equilibrium.  The same scan as {!first_candidate}
+    with every pair checked in full, plus one O(m) best response:
+    O(k·m) on the packed lane, O(k·m²) on the exact lane. *)
 val first_defector : t -> (int * int * int) option
 
 (** [is_nash v] holds when no user of any class can strictly improve by
-    switching links.  O(k·m²) — independent of the population size. *)
+    switching links.  The scan of {!first_defector}: O(k·m) and
+    allocation-free on the packed lane, O(k·m²) on the exact lane —
+    independent of the population size either way. *)
 val is_nash : t -> bool
 
 (** [max_improving_block v ~cls ~src ~dst] is the largest [t] such that
@@ -183,7 +210,9 @@ val is_nash : t -> bool
     strictly improving step for {e each} of them (the [j]-th mover
     compares its pre-move latency on [src] against its post-move
     latency on [dst] with [j] movers already there).  [0] when even the
-    first move does not improve.  Closed form, O(1); never exceeds
+    first move does not improve.  Closed form, O(1): native ints within
+    the {!Packing} bound on the packed lane (allocation-free), exact
+    rationals on the exact lane.  Never exceeds
     [assigned v cls src].  Requires [dst <> src]. *)
 val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 

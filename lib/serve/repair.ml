@@ -11,56 +11,24 @@ type outcome = {
   nash : bool;
 }
 
-(* First defecting candidate among classes [lo, hi), visiting occupied
-   (class, link) pairs in Cbr's first-defector order.  A clean pair —
-   clean class on an untouched link — kept its latency, so from an
-   equilibrium start any new improving move leads into a touched link:
-   only those comparisons are made.  Dirty or touched pairs get the
-   full O(m) defector check.  Read-only on the view, so domains may
-   share it during a scan. *)
-let find_candidate v touched dirty lo hi =
-  let m = Cview.links v in
-  let rec classes cls =
-    if cls >= hi then None
-    else begin
-      let found = ref None in
-      let src = ref 0 in
-      while !found = None && !src < m do
-        let s = !src in
-        if Cview.assigned v cls s > 0 then begin
-          if dirty.(cls) || touched.(s) then begin
-            if Cview.is_defector v ~cls ~src:s then found := Some (cls, s)
-          end
-          else begin
-            let l = ref 0 in
-            while !found = None && !l < m do
-              if touched.(!l) && Cview.improves v ~cls ~src:s !l then found := Some (cls, s);
-              incr l
-            done
-          end
-        end;
-        incr src
-      done;
-      match !found with Some _ as r -> r | None -> classes (cls + 1)
-    end
-  in
-  classes lo
-
 let shard_bounds k domains =
   let d = max 1 (min domains k) in
   List.init d (fun i -> ((i * k) / d, ((i + 1) * k) / d))
 
-(* Workers receive frozen copies of the seed sets; the view itself is
+(* The restricted first-defector scan is [Cview.first_candidate].
+   Workers receive frozen copies of the seed sets; the view itself is
    not mutated while a scan runs.  Shards are contiguous ascending
    class blocks and each reports its first candidate, so the first
    [Some] in shard order is exactly the serial scan's candidate —
    bit-identical for every domain count. *)
 let scan ~domains v touched dirty =
   let k = Cview.classes v in
-  if domains <= 1 then find_candidate v touched dirty 0 k
+  if domains <= 1 then Cview.first_candidate v ~touched ~dirty ~lo:0 ~hi:k
   else begin
     let tc = Array.copy touched and dc = Array.copy dirty in
-    Parallel.map ~domains (fun (lo, hi) -> find_candidate v tc dc lo hi) (shard_bounds k domains)
+    Parallel.map ~domains
+      (fun (lo, hi) -> Cview.first_candidate v ~touched:tc ~dirty:dc ~lo ~hi)
+      (shard_bounds k domains)
     |> List.find_map Fun.id
   end
 
@@ -91,9 +59,7 @@ let apply_profile v target =
     done
   done
 
-let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
-  if domains <= 0 then invalid_arg "Repair.repair_batch: domains must be positive";
-  if max_steps <= 0 then invalid_arg "Repair.repair_batch: max_steps must be positive";
+let repair ~domains ~max_steps v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
   let touched = Array.make m false and dirty = Array.make k false in
@@ -167,6 +133,22 @@ let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
     fallback;
     nash = true;
   }
+
+(* Any exception — a rejected mutation, an exhausted fallback, a failed
+   verification — rolls the view back to its entry depth first, so the
+   caller that catches it holds the last equilibrium again. *)
+let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
+  if domains <= 0 then invalid_arg "Repair.repair_batch: domains must be positive";
+  if max_steps <= 0 then invalid_arg "Repair.repair_batch: max_steps must be positive";
+  let d0 = Cview.depth v in
+  match repair ~domains ~max_steps v batch with
+  | r -> r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    while Cview.depth v > d0 do
+      Cview.undo v
+    done;
+    Printexc.raise_with_backtrace e bt
 
 (* Per-user restricted scan, in slot order; departed slots are
    skipped. *)

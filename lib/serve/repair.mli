@@ -13,15 +13,18 @@
       the class occupies (their loads changed).  A capacity revision
       dirties its class only — loads are unaffected, so no other
       class's latencies move.
-    - {b Restricted epochs.}  The scan visits occupied (class, link)
-      pairs in the same class-ascending, link-ascending order as
-      {!Algo.Cbr}'s first-defector policy, but a {e clean} pair — clean
-      class on an untouched link — only checks moves {e into} touched
-      links: starting from an equilibrium, its own latency is
-      unchanged, so any new improving move must target a link whose
-      load dropped.  Dirty or touched pairs get the full O(m) defector
-      check.  Each block move marks its source and destination links
-      touched ({e frontier expansion}) and re-enters the scan.
+    - {b Restricted epochs.}  The scan ({!Model.Cview.first_candidate})
+      visits occupied (class, link) pairs in the same class-ascending,
+      link-ascending order as {!Algo.Cbr}'s first-defector policy, but
+      a {e clean} pair — clean class on an untouched link — only checks
+      moves {e into} touched links: starting from an equilibrium, its
+      own latency is unchanged, so any new improving move must target a
+      link whose load dropped.  Dirty or touched pairs get the full
+      defector check.  On the packed lane one O(m) pass per class
+      settles every pair of the class (O(k·m) per scan); the exact lane
+      checks pair by pair (O(k·m²)).  Each block move marks its source
+      and destination links touched ({e frontier expansion}) and
+      re-enters the scan.
     - {b Saturation and fallback.}  When the frontier saturates (every
       link touched) the restricted scan degrades to exactly
       {!Algo.Cbr}'s full first-defector scan, i.e. full best-response
@@ -34,6 +37,11 @@
     - {b Verification.}  Every return passes the exact
       {!Model.Cview.is_nash}; a repair that cannot reach equilibrium
       raises instead of returning.
+    - {b Rollback.}  Whatever raises — a rejected mutation, an
+      exhausted fallback, a failed verification — the view is first
+      undone back to its depth on entry, so a caller that catches the
+      exception holds the pre-batch state (profile, loads, revisions
+      and history depth) again.
 
     Starting from a genuine equilibrium the restricted scan is sound —
     a clean scan implies Nash — and the final [is_nash] doubles as the
@@ -59,7 +67,8 @@ type outcome = {
     candidate, so the repair is bit-identical for every domain count.
     @raise Invalid_argument when a mutation is rejected, [domains <= 0],
     [max_steps <= 0] (default [1_000_000]), or the fallback fails to
-    converge within [max_steps]. *)
+    converge within [max_steps]; the view is then back at its state on
+    entry. *)
 val repair_batch :
   ?domains:int -> ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome
 

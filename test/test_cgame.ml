@@ -185,6 +185,43 @@ let test_twelve_users () =
 (* ------------------------------------------------------------------ *)
 (* Maximal improving blocks vs single-move simulation                  *)
 
+(* Simulates the block one mover at a time: each of the [t] movers must
+   improve in turn, the (t+1)-th must not, and undoing the single moves
+   must restore the loads.  [improves] evaluates the j-th comparison on
+   the view state after j-1 single moves.  Returns [t]. *)
+let check_block trial v ~cls ~src ~dst =
+  let loads0 = Cview.loads v in
+  let t = Cview.max_improving_block v ~cls ~src ~dst in
+  let avail = Cview.assigned v cls src in
+  if t > avail then Alcotest.failf "trial %d: block exceeds available users" trial;
+  let improves () =
+    Rational.compare (Cview.latency_after_move v ~cls ~src dst) (Cview.latency v cls src) < 0
+  in
+  for j = 1 to t do
+    if not (improves ()) then Alcotest.failf "trial %d: mover %d of %d does not improve" trial j t;
+    Cview.move v ~cls ~src ~dst ~count:1
+  done;
+  if avail > t && improves () then
+    Alcotest.failf "trial %d: block %d is not maximal (%d available)" trial t avail;
+  for _ = 1 to t do
+    Cview.undo v
+  done;
+  Array.iteri
+    (fun l q0 -> Alcotest.check check_q "undo restores loads" q0 (Cview.load v l))
+    loads0;
+  t
+
+(* [n] users spread over [m] links in O(m), unevenly. *)
+let random_split rng n m =
+  let row = Array.make m 0 and left = ref n in
+  for l = 0 to m - 2 do
+    let e = Prng.Rng.int rng (!left + 1) in
+    row.(l) <- e;
+    left := !left - e
+  done;
+  row.(m - 1) <- !left;
+  row
+
 let test_max_improving_block () =
   let rng = Prng.Rng.create 0xB10C in
   for trial = 1 to 2_000 do
@@ -197,29 +234,52 @@ let test_max_improving_block () =
     let cls = Prng.Rng.int rng (Cgame.classes cg) in
     let src = Prng.Rng.int rng m in
     let dst = (src + 1 + Prng.Rng.int rng (m - 1)) mod m in
-    let t = Cview.max_improving_block v ~cls ~src ~dst in
-    let avail = Cview.assigned v cls src in
-    if t > avail then Alcotest.failf "trial %d: block exceeds available users" trial;
-    (* Each of the t movers must improve in turn; the (t+1)-th must
-       not.  [improves] evaluates the j-th comparison on the view state
-       after j-1 single moves. *)
-    let improves () =
-      Rational.compare (Cview.latency_after_move v ~cls ~src dst) (Cview.latency v cls src) < 0
+    ignore (check_block trial v ~cls ~src ~dst)
+  done;
+  (* Class counts up to 10^4, where the closed form rather than the
+     clamp to the available users decides the block.  Odd trials run
+     the packed lane; even trials take capacities whose numerator and
+     denominator are primes near 2^31, which fail the [Packing] bound
+     and keep the game on the exact lane. *)
+  let p31 = [| 2147483647; 2147483629; 2147483587 |] in
+  let interior = ref 0 in
+  for trial = 1 to 400 do
+    let exact = trial mod 2 = 0 in
+    let k = Prng.Rng.int_in rng 1 3 and m = Prng.Rng.int_in rng 2 4 in
+    let counts = Array.init k (fun _ -> Prng.Rng.int_in rng 1 10_000) in
+    let weights = Array.init k (fun _ -> Rational.of_int (Prng.Rng.int_in rng 1 3)) in
+    let cap () =
+      if exact then begin
+        let i = Prng.Rng.int rng 3 in
+        Rational.mul
+          (Rational.of_ints p31.(i) p31.((i + 1) mod 3))
+          (Rational.of_int (Prng.Rng.int_in rng 1 4))
+      end
+      else Rational.of_ints (Prng.Rng.int_in rng 1 9) (Prng.Rng.int_in rng 1 3)
     in
-    for j = 1 to t do
-      if not (improves ()) then Alcotest.failf "trial %d: mover %d of %d does not improve" trial j t;
-      Cview.move v ~cls ~src ~dst ~count:1
-    done;
-    if avail > t && improves () then
-      Alcotest.failf "trial %d: block %d is not maximal (%d available)" trial t avail;
-    for _ = 1 to t do
-      Cview.undo v
-    done;
-    (* The view must be back at the start state after the undos. *)
-    for l = 0 to m - 1 do
-      Alcotest.check check_q "undo restores loads" (Pure.loads g p).(l) (Cview.load v l)
-    done
-  done
+    let caps = Array.init k (fun _ -> Array.init m (fun _ -> cap ())) in
+    let cg = Cgame.of_capacities ~counts ~weights caps in
+    let v = Cview.of_profile cg (Array.map (fun n -> random_split rng n m) counts) in
+    if Cview.packed v = exact then Alcotest.failf "large trial %d: unexpected lane" trial;
+    let cls = Prng.Rng.int rng k in
+    (* Half the trials move out of the class's most crowded link, where
+       large improving blocks live. *)
+    let src =
+      if Prng.Rng.bool rng then Prng.Rng.int rng m
+      else begin
+        let best = ref 0 in
+        for l = 1 to m - 1 do
+          if Cview.assigned v cls l > Cview.assigned v cls !best then best := l
+        done;
+        !best
+      end
+    in
+    let dst = (src + 1 + Prng.Rng.int rng (m - 1)) mod m in
+    let t = check_block trial v ~cls ~src ~dst in
+    if t > 0 && t < Cview.assigned v cls src then incr interior
+  done;
+  if !interior < 100 then
+    Alcotest.failf "only %d of 400 large blocks fell strictly inside (0, available)" !interior
 
 (* ------------------------------------------------------------------ *)
 (* Mixed layer: Cmixed.Eval vs Mixed.Eval                              *)
@@ -521,6 +581,137 @@ let test_social_cost1_allocation () =
   Alcotest.check check_q "repeat call" !oracle sc;
   if words >= 256. then Alcotest.failf "packed social_cost1 allocated %.0f minor words" words
 
+(* Minor words per call of [f] over [calls] calls, net of the empty
+   loop's own count. *)
+let words_per_call ~calls f =
+  let run g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let idle = run ignore in
+  (run f -. idle) /. float_of_int calls
+
+(* The serving shape (k = 96, m = 8, packed): the Nash scans, the
+   per-pair predicates and the block size allocate nothing per call,
+   both at an equilibrium and away from one.  Only [first_candidate]'s
+   [Some] result allocates, so it is pinned where it returns [None].
+   Native code only: bytecode boxes what native code keeps in
+   registers. *)
+let test_packed_zero_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let rng = Prng.Rng.create 0x2E40 in
+    let k = 96 and m = 8 in
+    let counts = Array.init k (fun _ -> 800 + Prng.Rng.int rng 400) in
+    let weights = Array.init k (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 4)) in
+    let caps =
+      Array.init k (fun _ ->
+          Array.init m (fun _ ->
+              Rational.of_ints (1 + Prng.Rng.int rng 12) (1 + Prng.Rng.int rng 3)))
+    in
+    let cg = Cgame.of_capacities ~counts ~weights caps in
+    let start = Algo.Cbr.proportional_start cg in
+    let o = Algo.Cbr.converge cg start in
+    Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
+    let nash = Cview.of_profile cg o.Algo.Cbr.profile and away = Cview.of_profile cg start in
+    Alcotest.(check bool) "views are packed" true (Cview.packed nash && Cview.packed away);
+    Alcotest.(check bool) "equilibrium view" true (Cview.is_nash nash);
+    Alcotest.(check bool) "start view is not an equilibrium" false (Cview.is_nash away);
+    let touched = Array.init m (fun l -> l mod 3 = 0) in
+    let dirty = Array.init k (fun c -> c mod 5 = 0) in
+    let pin name f =
+      let words = words_per_call ~calls:200 f in
+      if words >= 1. then Alcotest.failf "%s allocated %.2f minor words per call" name words
+    in
+    let pairs v f () =
+      for c = 0 to k - 1 do
+        for src = 0 to m - 1 do
+          if Cview.assigned v c src > 0 then f c src
+        done
+      done
+    in
+    pin "first_candidate" (fun () ->
+        ignore (Sys.opaque_identity (Cview.first_candidate nash ~touched ~dirty ~lo:0 ~hi:k)));
+    List.iter
+      (fun v ->
+        pin "is_nash" (fun () -> ignore (Sys.opaque_identity (Cview.is_nash v)));
+        pin "is_defector"
+          (pairs v (fun cls src -> ignore (Sys.opaque_identity (Cview.is_defector v ~cls ~src))));
+        pin "improves"
+          (pairs v (fun cls src ->
+               for dst = 0 to m - 1 do
+                 ignore (Sys.opaque_identity (Cview.improves v ~cls ~src dst))
+               done));
+        pin "max_improving_block"
+          (pairs v (fun cls src ->
+               for dst = 0 to m - 1 do
+                 if dst <> src then
+                   ignore (Sys.opaque_identity (Cview.max_improving_block v ~cls ~src ~dst))
+               done)))
+      [ nash; away ]
+
+(* Per-pair oracles from the public [best_response_for] and [latency]:
+   a pair defects iff its best response is strictly cheaper than
+   staying. *)
+let oracle_defects v cls src =
+  Rational.compare (snd (Cview.best_response_for v ~cls ~src)) (Cview.latency v cls src) < 0
+
+let oracle_first_defector v =
+  let k = Cview.classes v and m = Cview.links v in
+  let found = ref None in
+  for c = k - 1 downto 0 do
+    for l = m - 1 downto 0 do
+      if Cview.assigned v c l > 0 && oracle_defects v c l then
+        found := Some (c, l, fst (Cview.best_response_for v ~cls:c ~src:l))
+    done
+  done;
+  !found
+
+(* Random class views, mostly off equilibrium, on both lanes: small
+   integer capacities and weights make cost ties common, and a huge
+   weight denominator keeps every fifth game on the exact lane. *)
+let test_scan_oracles () =
+  let rng = Prng.Rng.create 0x5CA7 in
+  let lanes = [| 0; 0 |] in
+  for trial = 1 to 3_000 do
+    let k = Prng.Rng.int_in rng 1 6 and m = Prng.Rng.int_in rng 2 5 in
+    let counts = Array.init k (fun _ -> Prng.Rng.int_in rng 1 12) in
+    let weights =
+      Array.init k (fun _ ->
+          let w = Rational.of_int (Prng.Rng.int_in rng 1 2) in
+          if trial mod 5 = 0 then Rational.mul w huge_den else w)
+    in
+    let caps =
+      Array.init k (fun _ -> Array.init m (fun _ -> Rational.of_int (Prng.Rng.int_in rng 1 3)))
+    in
+    let cg = Cgame.of_capacities ~counts ~weights caps in
+    let x =
+      if trial mod 7 = 0 then
+        (Algo.Cbr.converge cg (Algo.Cbr.proportional_start cg)).Algo.Cbr.profile
+      else random_profile rng counts m
+    in
+    let v = Cview.of_profile cg x in
+    let lane = if Cview.packed v then 0 else 1 in
+    lanes.(lane) <- lanes.(lane) + 1;
+    for c = 0 to k - 1 do
+      for l = 0 to m - 1 do
+        if Cview.assigned v c l > 0 && Cview.is_defector v ~cls:c ~src:l <> oracle_defects v c l
+        then Alcotest.failf "trial %d: is_defector (%d, %d) disagrees with the oracle" trial c l
+      done
+    done;
+    let first = Cview.first_defector v in
+    if first <> oracle_first_defector v then
+      Alcotest.failf "trial %d: first_defector disagrees with the per-pair oracle" trial;
+    if Cview.is_nash v <> Option.is_none first then
+      Alcotest.failf "trial %d: is_nash disagrees with the per-pair oracle" trial
+  done;
+  if lanes.(0) < 1_000 || lanes.(1) < 300 then
+    Alcotest.failf "lane coverage too thin: %d packed, %d exact" lanes.(0) lanes.(1)
+
 let test_ownership_guard () =
   (* Cview mutators carry the same SELFISH_OWNERSHIP guard as View;
      forge the owner to pin the Cview-specific failure message. *)
@@ -581,6 +772,12 @@ let () =
           Alcotest.test_case "overflow fallback vs Pure" `Quick test_social_cost_fallback;
           Alcotest.test_case "participation bias vs Pure" `Quick test_social_cost_bias;
           Alcotest.test_case "packed SC1 allocation pin" `Quick test_social_cost1_allocation;
+        ] );
+      ( "nash scan",
+        [
+          Alcotest.test_case "is_nash and first_defector vs per-pair oracles" `Quick
+            test_scan_oracles;
+          Alcotest.test_case "packed zero-allocation pin" `Quick test_packed_zero_allocation;
         ] );
       ( "ownership",
         [ Alcotest.test_case "sanitizer guards Cview mutators" `Quick test_ownership_guard ] );

@@ -414,6 +414,113 @@ let test_repair_differential () =
       Alcotest.failf "trial %d: re-solve verdict diverged" trial
   done
 
+(* The per-pair restricted scan [Repair] ran before the class-major
+   [Cview.first_candidate]: the full defector check for a dirty class or
+   a touched source, probes into touched links for any other pair. *)
+let per_pair_candidate v touched dirty lo hi =
+  let m = Cview.links v in
+  let rec classes cls =
+    if cls >= hi then None
+    else begin
+      let found = ref None in
+      let src = ref 0 in
+      while !found = None && !src < m do
+        let s = !src in
+        if Cview.assigned v cls s > 0 then begin
+          if dirty.(cls) || touched.(s) then begin
+            if Cview.is_defector v ~cls ~src:s then found := Some (cls, s)
+          end
+          else begin
+            let l = ref 0 in
+            while !found = None && !l < m do
+              if touched.(!l) && Cview.improves v ~cls ~src:s !l then found := Some (cls, s);
+              incr l
+            done
+          end
+        end;
+        incr src
+      done;
+      match !found with Some _ as r -> r | None -> classes (cls + 1)
+    end
+  in
+  classes lo
+
+(* The cost of one class-[cls] user arriving on [l] from elsewhere. *)
+let arrival_cost v cls l = Cview.latency_after_move v ~cls ~src:((l + 1) mod Cview.links v) l
+
+(* Random views, mostly off equilibrium, with random touched and dirty
+   sets and class ranges: the class-major scan must return the per-pair
+   scan's pair.  Tie-heavy packed games (capacities and weights in
+   {1, 2}) make the packed pass's corner cases common, and the trial
+   loop counts them to prove they ran: a wide or touched source whose
+   own link is the unique cheapest to arrive on (the pass's minimum is
+   then the source itself), and a best alternative that exactly ties
+   the current latency (not an improvement). *)
+let test_first_candidate_differential () =
+  let rng = Prng.Rng.create 0xF1C4 in
+  let unique_best = ref 0 and tie_current = ref 0 and packed = ref 0 in
+  for trial = 1 to 5_000 do
+    let g =
+      if trial mod 4 = 0 then random_cgame rng
+      else begin
+        let k = 1 + Prng.Rng.int rng 6 and m = 2 + Prng.Rng.int rng 4 in
+        let counts = Array.init k (fun _ -> 1 + Prng.Rng.int rng 9) in
+        let weights = Array.init k (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 2)) in
+        let caps =
+          Array.init k (fun _ -> Array.init m (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 2)))
+        in
+        Cgame.of_capacities ~counts ~weights caps
+      end
+    in
+    let k = Cgame.classes g and m = Cgame.links g in
+    let x =
+      if trial mod 5 = 0 then (Algo.Cbr.converge g (Algo.Cbr.proportional_start g)).Algo.Cbr.profile
+      else
+        Array.init k (fun c ->
+            let row = Array.make m 0 in
+            for _ = 1 to Cgame.count g c do
+              let l = Prng.Rng.int rng m in
+              row.(l) <- row.(l) + 1
+            done;
+            row)
+    in
+    let v = Cview.of_profile g x in
+    if Cview.packed v then incr packed;
+    let touched = Array.init m (fun _ -> Prng.Rng.int rng 3 = 0) in
+    let dirty = Array.init k (fun _ -> Prng.Rng.int rng 4 = 0) in
+    let lo = Prng.Rng.int rng (k + 1) in
+    let hi = lo + Prng.Rng.int rng (k - lo + 1) in
+    let got = Cview.first_candidate v ~touched ~dirty ~lo ~hi in
+    if got <> per_pair_candidate v touched dirty lo hi then
+      Alcotest.failf "trial %d: first_candidate disagrees with the per-pair scan on [%d, %d)" trial
+        lo hi;
+    if Cview.packed v then
+      for c = lo to hi - 1 do
+        for s = 0 to m - 1 do
+          if Cview.assigned v c s > 0 && (dirty.(c) || touched.(s)) then begin
+            let own = arrival_cost v c s in
+            let others = ref None in
+            for l = 0 to m - 1 do
+              if l <> s then begin
+                let q = arrival_cost v c l in
+                match !others with
+                | Some b when Rational.compare b q <= 0 -> ()
+                | _ -> others := Some q
+              end
+            done;
+            match !others with
+            | None -> ()
+            | Some b ->
+              if Rational.compare own b < 0 then incr unique_best;
+              if Rational.equal b (Cview.latency v c s) then incr tie_current
+          end
+        done
+      done
+  done;
+  if !packed < 3_000 || !unique_best < 100 || !tie_current < 100 then
+    Alcotest.failf "corner cases too rare: %d packed views, %d unique-best sources, %d ties" !packed
+      !unique_best !tie_current
+
 (* Parallel repair scans must pick the same first defector as the
    serial scan: profiles after every batch are bit-identical across
    domain counts. *)
@@ -513,8 +620,18 @@ let test_repair_argument_errors () =
       Repair.repair_view ~max_steps:0 (View.of_profile pg (Array.make 4 0)) ~dirty_users:[]
         ~touched_links:[])
 
+(* The view's observable state: profile, loads, history depth. *)
+let snapshot v = (Cview.profile v, Cview.loads v, Cview.depth v)
+
+let check_rolled_back what (p0, l0, d0) v =
+  let p, l, d = snapshot v in
+  if p <> p0 then Alcotest.failf "%s: profile not restored" what;
+  Alcotest.(check (array check_q)) (what ^ ": loads restored") l0 l;
+  Alcotest.(check int) (what ^ ": depth restored") d0 d
+
 (* An exhausted move budget must raise, never return a non-Nash
-   profile. *)
+   profile, and must leave the view at its pre-batch equilibrium —
+   neither the batch's mutations nor the restricted epoch's moves. *)
 let test_repair_budget_exhaustion () =
   let g =
     Cgame.kp
@@ -525,6 +642,8 @@ let test_repair_budget_exhaustion () =
   let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
   Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
   let v = Cview.of_profile g o.Algo.Cbr.profile in
+  Cview.move v ~cls:0 ~src:0 ~dst:0 ~count:0;
+  let before = snapshot v in
   let batch =
     [
       Mutation.Arrive { cls = 0; link = 2; count = 30 };
@@ -532,7 +651,37 @@ let test_repair_budget_exhaustion () =
     ]
   in
   raises_invalid "Repair.repair_batch: fallback did not converge within max_steps" (fun () ->
-      Repair.repair_batch ~max_steps:1 v batch)
+      Repair.repair_batch ~max_steps:1 v batch);
+  check_rolled_back "budget exhaustion" before v;
+  Alcotest.(check bool) "still an equilibrium" true (Cview.is_nash v);
+  (* The view stays usable: the same batch repairs with a budget. *)
+  let r = Repair.repair_batch v batch in
+  Alcotest.(check bool) "repaired after the rollback" true (r.Repair.nash && Cview.is_nash v)
+
+(* A mutation rejected mid-batch must not leave the batch's earlier
+   mutations applied. *)
+let test_repair_rejected_mid_batch () =
+  let g =
+    Cgame.kp
+      ~counts:[| 5; 4 |]
+      ~weights:[| Rational.one; Rational.of_int 2 |]
+      ~capacities:[| Rational.of_int 3; Rational.one |]
+  in
+  let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
+  let v = Cview.of_profile g o.Algo.Cbr.profile in
+  let before = snapshot v in
+  let batch =
+    [
+      Mutation.Arrive { cls = 0; link = 1; count = 3 };
+      Mutation.Reweight { cls = 1; weight = Rational.of_int 3 };
+      Mutation.Depart { cls = 1; link = 0; count = 1_000 };
+    ]
+  in
+  raises_invalid "Cview.revise_count: departures exceed the users of the class on the link"
+    (fun () -> Repair.repair_batch v batch);
+  check_rolled_back "rejected mutation" before v;
+  Alcotest.check check_q "reweight undone" (Rational.of_int 2) (Cview.weight v 1);
+  Alcotest.(check bool) "no revision left applied" false (Cview.revised v)
 
 (* Mutation.apply guards and the view's ownership sanitizer on the
    mutation path. *)
@@ -597,5 +746,8 @@ let () =
           Alcotest.test_case "per-user repair_view" `Slow test_repair_view;
           Alcotest.test_case "argument errors" `Quick test_repair_argument_errors;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
+          Alcotest.test_case "rejected mutation rolls back" `Quick test_repair_rejected_mid_batch;
+          Alcotest.test_case "first_candidate vs per-pair scan" `Quick
+            test_first_candidate_differential;
         ] );
     ]
