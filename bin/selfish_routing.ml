@@ -461,17 +461,13 @@ let run_serve game_file log_file domains max_moves =
   List.iteri
     (fun idx batch ->
       let r = Serve.Repair.repair_batch ~domains ~max_steps:max_moves v batch in
-      let users = ref 0 in
-      for c = 0 to Cview.classes v - 1 do
-        users := !users + Cview.class_count v c
-      done;
       Printf.printf
         "{\"batch\":%d,\"mutations\":%d,\"moves\":%d,\"users_moved\":%d,\
          \"seeded_classes\":%d,\"seeded_links\":%d,\"frontier_links\":%d,\
          \"fallback\":%b,\"nash\":%b,\"users\":%d,\"sc1\":\"%s\"}\n"
         (idx + 1) (List.length batch) r.Serve.Repair.moves r.Serve.Repair.users_moved
         r.Serve.Repair.seeded_classes r.Serve.Repair.seeded_links r.Serve.Repair.frontier_links
-        r.Serve.Repair.fallback r.Serve.Repair.nash !users
+        r.Serve.Repair.fallback r.Serve.Repair.nash (Cview.users v)
         (Rational.to_string (Cview.social_cost1 v)))
     log
 

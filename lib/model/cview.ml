@@ -34,6 +34,8 @@ type packed_lane = {
   mutable pmaxcn : int; (* monotone upper bounds for the product bound *)
   mutable pmaxcd : int;
   mutable ptotal : int; (* current total scaled traffic, initial included *)
+  mutable pd : int; (* report denominator D; 0 while the report state is absent *)
+  pnl : int array; (* D·T_l per link, valid while [pd > 0] *)
 }
 
 type lane = Exact of Rational.t array | Packed of packed_lane
@@ -66,6 +68,7 @@ type t = {
   mutable depth : int;
   mutable shist : sdelta list;
   mutable nrev : int; (* structural deltas currently applied *)
+  mutable users : int; (* Σ of every class count *)
   mutable owner : int; (* creating domain id, for SELFISH_OWNERSHIP *)
 }
 
@@ -119,6 +122,8 @@ let of_profile g ?initial x =
                pmaxcn = pk.Packing.maxcn;
                pmaxcd = pk.Packing.maxcd;
                ptotal = total;
+               pd = 0;
+               pnl = Array.make m 0;
              })
     end
     | _ -> None
@@ -156,6 +161,7 @@ let of_profile g ?initial x =
     depth = 0;
     shist = [];
     nrev = 0;
+    users = Cgame.users g;
     owner = Parallel.Ownership.record ();
   }
 
@@ -166,6 +172,7 @@ let unsafe_set_owner v id = v.owner <- id
 let weight v c = v.weights.(c)
 let capacity v c l = v.caps.(c).(l)
 let class_count v c = Array.fold_left ( + ) 0 v.assign.(c)
+let users v = v.users
 let revised v = v.nrev > 0
 
 let load v l =
@@ -175,6 +182,40 @@ let load v l =
 
 let loads v = Array.init (links v) (load v)
 let depth v = v.depth
+
+(* The SC_1 report's state on the packed lane.  Packed classes are
+   load-linear (zero bias), so with [T_l = Σ_c n_cl/c_cl]
+     SC_1 = Σ_c Σ_l n_cl·load_l/c_cl = Σ_l load_l·T_l.
+   While [pd > 0], [pnl.(l)] holds D·T_l for D = [pd], a common
+   multiple of the capacity numerators of every occupied pair: with
+   [1/c = pcd/pcn] each term D·n/c = n·pcd·(D/pcn) is a native int.  A
+   pair's term follows its users and its capacity in O(1); a numerator
+   that does not divide D grows D to their lcm and rescales the m
+   links.  Any native overflow drops the state ([pd = 0]), and
+   [social_cost1] rebuilds it from scratch on its next call. *)
+let report_grow pk a =
+  let d = pk.pd in
+  let d' = Packing.mul_nn (d / Bignat.gcd_int d a) a in
+  let f = d' / d in
+  for l = 0 to Array.length pk.pnl - 1 do
+    pk.pnl.(l) <- Packing.mul_nn f pk.pnl.(l)
+  done;
+  pk.pd <- d'
+
+(* Enter [n > 0] users of the pair at table index [idx] on [link]. *)
+let report_add pk link n idx =
+  if pk.pd > 0 then
+    try
+      let cn = pk.pcn.(idx) in
+      if pk.pd mod cn <> 0 then report_grow pk cn;
+      pk.pnl.(link) <-
+        Packing.(add_nn pk.pnl.(link) (mul_nn n (mul_nn pk.pcd.(idx) (pk.pd / cn))))
+    with Packing.Overflow -> pk.pd <- 0
+
+(* Withdraw [n] users whose term is in the state: their share is at
+   most [pnl.(link)], so no product can wrap. *)
+let report_sub pk link n idx =
+  if pk.pd > 0 then pk.pnl.(link) <- pk.pnl.(link) - (n * pk.pcd.(idx) * (pk.pd / pk.pcn.(idx)))
 
 (* Unrecorded block reassignment shared by [move] and [undo]: one
    exact multiplication and two load updates, whatever [count] is.
@@ -190,7 +231,10 @@ let shift v cls src dst count =
      | Packed pk ->
        let delta = count * pk.ppw.(cls) in
        pk.piload.(src) <- pk.piload.(src) - delta;
-       pk.piload.(dst) <- pk.piload.(dst) + delta);
+       pk.piload.(dst) <- pk.piload.(dst) + delta;
+       let base = cls * Array.length pk.piload in
+       report_sub pk src count (base + src);
+       report_add pk dst count (base + dst));
     v.assign.(cls).(src) <- v.assign.(cls).(src) - count;
     v.assign.(cls).(dst) <- v.assign.(cls).(dst) + count
   end
@@ -261,13 +305,25 @@ let exact_count_patch loads link delta contrib =
       (if delta > 0 then Rational.add loads.(link) d else Rational.sub loads.(link) d)
   end
 
+let report_count pk base link delta =
+  if delta > 0 then report_add pk link delta (base + link)
+  else if delta < 0 then report_sub pk link (-delta) (base + link)
+
+(* Rewrite the packed capacity pair at [idx], moving the [n] users'
+   report term with it. *)
+let set_packed_cap pk link n idx cn cd =
+  if n > 0 then report_sub pk link n idx;
+  pk.pcn.(idx) <- cn;
+  pk.pcd.(idx) <- cd;
+  if n > 0 then report_add pk link n idx
+
 let revise_count v ~cls ~link ~delta =
   let k = classes v and m = links v in
   if cls < 0 || cls >= k then invalid_arg "Cview.revise_count: class out of range";
   if link < 0 || link >= m then invalid_arg "Cview.revise_count: link out of range";
   if delta < 0 && v.assign.(cls).(link) + delta < 0 then
     invalid_arg "Cview.revise_count: departures exceed the users of the class on the link";
-  if delta > 0 && v.assign.(cls).(link) > max_int - delta then
+  if delta > 0 && v.users > max_int - delta then
     invalid_arg "Cview.revise_count: arrival count overflows";
   if delta < 0 && class_count v cls + delta <= 0 then
     invalid_arg "Cview.revise_count: revision would empty the class";
@@ -289,6 +345,7 @@ let revise_count v ~cls ~link ~delta =
         let d = delta * pw in
         pk.piload.(link) <- pk.piload.(link) + d;
         pk.ptotal <- pk.ptotal + d;
+        report_count pk (cls * m) link delta;
         None
       end
       else begin
@@ -299,6 +356,7 @@ let revise_count v ~cls ~link ~delta =
       end
   in
   v.assign.(cls).(link) <- v.assign.(cls).(link) + delta;
+  v.users <- v.users + delta;
   push_structural v (Scount { cls; link; delta; restore })
 
 let exact_weight_patch v cls contrib' =
@@ -379,8 +437,7 @@ let revise_capacity v ~cls ~link cap' =
              && Packing.admits ~total:pk.ptotal ~maxcn:(max pk.pmaxcn a) ~maxcd:(max pk.pmaxcd b) ->
         own pk;
         let ocn = pk.pcn.(idx) and ocd = pk.pcd.(idx) in
-        pk.pcn.(idx) <- a;
-        pk.pcd.(idx) <- b;
+        set_packed_cap pk link v.assign.(cls).(link) idx a b;
         pk.pmaxcn <- max pk.pmaxcn a;
         pk.pmaxcd <- max pk.pmaxcd b;
         (None, ocn, ocd)
@@ -402,6 +459,7 @@ let undo_structural v =
     (match d with
      | Scount { cls; link; delta; restore } ->
        v.assign.(cls).(link) <- v.assign.(cls).(link) - delta;
+       v.users <- v.users - delta;
        (match restore with
         | Some lane -> v.lane <- lane
         | None ->
@@ -410,7 +468,8 @@ let undo_structural v =
            | Packed pk ->
              let d = delta * pk.ppw.(cls) in
              pk.piload.(link) <- pk.piload.(link) - d;
-             pk.ptotal <- pk.ptotal - d))
+             pk.ptotal <- pk.ptotal - d;
+             report_count pk (cls * links v) link (-delta)))
      | Sweight { cls; weight; contrib; bias; ppw; restore } ->
        (match restore with
         | Some lane ->
@@ -438,9 +497,7 @@ let undo_structural v =
           (match v.lane with
            | Exact _ -> ()
            | Packed pk ->
-             let idx = (cls * links v) + link in
-             pk.pcn.(idx) <- pcn;
-             pk.pcd.(idx) <- pcd)))
+             set_packed_cap pk link v.assign.(cls).(link) ((cls * links v) + link) pcn pcd)))
 
 let undo v =
   if v.depth = 0 then invalid_arg "Cview.undo: empty history";
@@ -592,17 +649,26 @@ let improves v ~cls ~src dst =
    have no cheaper link and the compare rightly fails — no second-best
    is needed.  Every product is at most 2·total·maxcd·maxcn, within the
    [Packing.admits] bound (w ≤ total as every class is occupied).
-   Returns the first improving source in link order, or -1. *)
+
+   The all-links minimum's lowest index is also the move's target:
+   for an improving source s, [packed_best]'s costs are the arrival
+   costs off s, and s's own entry there (its current cost) lies above
+   the minimum, as does its arrival cost here, so both argmins are the
+   lowest link at the minimum value.  A clean source improves on the
+   touched minimum, which is no lower than the all-links one.  Returns
+   the first improving source in link order as [src·m + target], or
+   -1. *)
 let packed_class pk occ ~wide touched cls =
   let m = Array.length pk.piload in
   let base = cls * m and w = pk.ppw.(cls) in
   (* A denominator of 0 marks "no link seen yet". *)
-  let an = ref 0 and ad = ref 0 and tn = ref 0 and td = ref 0 in
+  let an = ref 0 and ad = ref 0 and ai = ref 0 and tn = ref 0 and td = ref 0 in
   for l = 0 to m - 1 do
     let a = (pk.piload.(l) + w) * pk.pcd.(base + l) and cn = pk.pcn.(base + l) in
     if !ad = 0 || a * !ad < !an * cn then begin
       an := a;
-      ad := cn
+      ad := cn;
+      ai := l
     end;
     if (not wide) && touched.(l) && (!td = 0 || a * !td < !tn * cn) then begin
       tn := a;
@@ -618,7 +684,7 @@ let packed_class pk occ ~wide touched cls =
         if wide || touched.(src) then !an * ccn < cnum * !ad
         else !td > 0 && !tn * ccn < cnum * !td
       in
-      if improving then found := src
+      if improving then found := (src * m) + !ai
     end;
     incr s
   done;
@@ -651,21 +717,34 @@ let exact_class v ~wide touched cls =
 
 (* Class ascending, source link ascending: the exact order in which
    [Cgame.expand_profile] lays out the users.  The first improving pair
-   as [cls·m + src], or -1.  [full] checks every pair against every
-   link and reads neither set. *)
+   with its target as [(cls·m + src)·m + dst], or -1; the exact lane
+   leaves [dst] at 0 for [decode] to fill in.  [full] checks every pair
+   against every link and reads neither set. *)
 let first_pair v ~full touched dirty lo hi =
-  let src = ref (-1) and c = ref lo in
-  while !src < 0 && !c < hi do
+  let m = links v in
+  let p = ref (-1) and c = ref lo in
+  while !p < 0 && !c < hi do
     let wide = full || dirty.(!c) in
-    src :=
-      (match v.lane with
-       | Packed pk -> packed_class pk v.assign.(!c) ~wide touched !c
-       | Exact _ -> exact_class v ~wide touched !c);
-    if !src < 0 then incr c
+    (match v.lane with
+     | Packed pk ->
+       let q = packed_class pk v.assign.(!c) ~wide touched !c in
+       if q >= 0 then p := (!c * m * m) + q
+     | Exact _ ->
+       let src = exact_class v ~wide touched !c in
+       if src >= 0 then p := ((!c * m) + src) * m);
+    incr c
   done;
-  if !src < 0 then -1 else (!c * links v) + !src
+  !p
 
-let first_candidate v ~touched ~dirty ~lo ~hi =
+(* Decode a [first_pair] result into [(cls, src, dst)]. *)
+let decode v p =
+  let m = links v in
+  let cls = p / (m * m) and src = p / m mod m in
+  match v.lane with
+  | Packed _ -> (cls, src, p mod m)
+  | Exact _ -> (cls, src, fst (best_response_for v ~cls ~src))
+
+let first_code v ~touched ~dirty ~lo ~hi =
   let k = classes v and m = links v in
   if Array.length touched <> m then
     invalid_arg "Cview.first_candidate: touched length differs from link count";
@@ -673,24 +752,15 @@ let first_candidate v ~touched ~dirty ~lo ~hi =
     invalid_arg "Cview.first_candidate: dirty length differs from class count";
   if lo < 0 || lo > hi || hi > k then
     invalid_arg "Cview.first_candidate: class range out of bounds";
-  let p = first_pair v ~full:false touched dirty lo hi in
-  if p < 0 then None else Some (p / m, p mod m)
+  first_pair v ~full:false touched dirty lo hi
+
+let first_candidate v ~touched ~dirty ~lo ~hi =
+  let p = first_code v ~touched ~dirty ~lo ~hi in
+  if p < 0 then None else Some (decode v p)
 
 let first_defector v =
-  let m = links v in
   let p = first_pair v ~full:true [||] [||] 0 (classes v) in
-  if p < 0 then None
-  else begin
-    let cls = p / m and src = p mod m in
-    let target =
-      match v.lane with
-      | Packed pk ->
-        let t, _, _ = packed_best pk ~cls ~src in
-        t
-      | Exact _ -> fst (best_response_for v ~cls ~src)
-    in
-    Some (cls, src, target)
-  end
+  if p < 0 then None else Some (decode v p)
 
 let is_nash v = first_pair v ~full:true [||] [||] 0 (classes v) < 0
 
@@ -755,15 +825,11 @@ let social_cost1_terms v =
   done;
   !acc
 
-(* The packed lane's SC_1, factored by link.  Packed classes are
-   load-linear (zero bias), so with [T_l = Σ_c n_cl/c_cl]
-     SC_1 = Σ_c Σ_l n_cl·load_l/c_cl = Σ_l load_l·T_l.
-   The T_l live over one native common denominator D, the lcm of the
-   occupied numerators ([1/c = pcd/pcn]): [nl.(l)] accumulates D·T_l,
-   and with [load_l = piload_l/pscale]
-     SC_1 = Σ_l piload_l·(D·T_l) / (pscale·D).
-   @raise Packing.Overflow when any native step would wrap. *)
-let packed_social_cost1 v pk =
+(* Build the report state from scratch, with D the lcm of the occupied
+   numerators.  [pd] stays 0 when a native step would overflow.
+   @raise Packing.Overflow in that case. *)
+let report_build v pk =
+  pk.pd <- 0;
   let k = classes v and m = Array.length pk.piload in
   let d = ref 1 in
   for c = 0 to k - 1 do
@@ -775,7 +841,8 @@ let packed_social_cost1 v pk =
       end
     done
   done;
-  let d = !d and nl = Array.make m 0 in
+  let d = !d and nl = pk.pnl in
+  Array.fill nl 0 m 0;
   for c = 0 to k - 1 do
     let occ = v.assign.(c) and base = c * m in
     for l = 0 to m - 1 do
@@ -785,17 +852,26 @@ let packed_social_cost1 v pk =
           Packing.(add_nn nl.(l) (mul_nn (mul_nn e pk.pcd.(base + l)) (d / pk.pcn.(base + l))))
     done
   done;
+  pk.pd <- d
+
+(* With [load_l = piload_l/pscale],
+     SC_1 = Σ_l piload_l·(D·T_l) / (pscale·D):
+   m products and one reduction. *)
+let report_value pk =
   let num = ref Bigint.zero in
-  for l = 0 to m - 1 do
-    if nl.(l) > 0 then
-      num := Bigint.add !num (Bigint.mul (Bigint.of_int pk.piload.(l)) (Bigint.of_int nl.(l)))
+  for l = 0 to Array.length pk.piload - 1 do
+    if pk.pnl.(l) > 0 then
+      num := Bigint.add !num (Bigint.mul (Bigint.of_int pk.piload.(l)) (Bigint.of_int pk.pnl.(l)))
   done;
-  Rational.make !num (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int d))
+  Rational.make !num (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int pk.pd))
 
 let social_cost1 v =
   match v.lane with
   | Exact _ -> social_cost1_terms v
-  | Packed pk -> ( try packed_social_cost1 v pk with Packing.Overflow -> social_cost1_terms v)
+  | Packed pk ->
+    Parallel.Ownership.guard "Cview cursor" v.owner;
+    if pk.pd = 0 then (try report_build v pk with Packing.Overflow -> ());
+    if pk.pd > 0 then report_value pk else social_cost1_terms v
 
 let social_cost2 v =
   let acc = ref Rational.zero in

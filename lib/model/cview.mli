@@ -6,8 +6,10 @@
     moving from one link to another — in O(1) exact rational updates,
     independent of [count] and of the population size [n].  Against the
     view, a latency is O(1), a best response is O(m), a full Nash check
-    is O(k·m) on the packed lane (O(k·m²) on the exact lane) and the
-    social costs are O(k·m): no operation ever scales with [n].
+    is O(k·m) on the packed lane (O(k·m²) on the exact lane), [SC_1] is
+    O(m) on the packed lane once its report state is built and the
+    social costs are O(k·m) otherwise: no operation ever scales with
+    [n].
 
     All per-user predicates survive compression exactly: users of one
     class on one link are interchangeable, so "some user defects" is a
@@ -55,9 +57,10 @@ val assigned : t -> int -> int -> int
 val profile : t -> Cgame.profile
 
 (** [owner v] is the creating domain's id as recorded for the
-    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); {!move} and
-    {!undo} raise {!Parallel.Ownership.Violation} under the sanitizer
-    when called from another domain. *)
+    [SELFISH_OWNERSHIP] sanitizer ({!Parallel.Ownership}); {!move},
+    {!undo}, the revisions and the packed lane's {!social_cost1} raise
+    {!Parallel.Ownership.Violation} under the sanitizer when called
+    from another domain. *)
 val owner : t -> int
 
 (** [unsafe_set_owner v id] rewrites the recorded owner.  Test-only
@@ -72,8 +75,10 @@ val loads : t -> Numeric.Rational.t array
 
 (** [move v ~cls ~src ~dst ~count] reassigns [count] users of class
     [cls] from link [src] to link [dst] in O(1) exact rational
-    operations (one multiplication, two load updates), recording the
-    move for {!undo}.  [count = 0] and [src = dst] are recorded no-ops.
+    operations (one multiplication, two load updates, and on the packed
+    lane two updates of the {!social_cost1} report state once it is
+    built), recording the move for {!undo}.  [count = 0] and
+    [src = dst] are recorded no-ops.
     @raise Invalid_argument when an index is out of range, [count < 0],
     or [count] exceeds the users of [cls] currently on [src]. *)
 val move : t -> cls:int -> src:int -> dst:int -> count:int -> unit
@@ -95,20 +100,27 @@ val weight : t -> int -> Numeric.Rational.t
 val capacity : t -> int -> int -> Numeric.Rational.t
 
 (** [class_count v c] is the current number of class-[c] users, [Σ_l
-    assigned v c l].  O(m). *)
+    assigned v c l].  O(m); for the population total use {!users}. *)
 val class_count : t -> int -> int
+
+(** [users v] is the current number of users over all classes, [Σ_c
+    class_count v c].  Kept as cursor state by {!revise_count} and
+    {!undo}, so O(1). *)
+val users : t -> int
 
 (** [revised v] holds when at least one structural delta is currently
     applied (pushed and not yet undone). *)
 val revised : t -> bool
 
 (** [revise_count v ~cls ~link ~delta] adds [delta] class-[cls] users
-    on [link] ([delta < 0] removes).  One O(1) load patch; on the
-    packed lane arrivals re-check the {!Packing} bound against the
+    on [link] ([delta < 0] removes).  One O(1) load patch, plus the
+    user total and, once built, the {!social_cost1} report state; on
+    the packed lane arrivals re-check the {!Packing} bound against the
     grown total and spill to the exact lane when it fails.
     @raise Invalid_argument when an index is out of range, departures
-    exceed the users on the link, or the revision would empty the
-    class (class counts must stay positive). *)
+    exceed the users on the link, the revision would empty the class
+    (class counts must stay positive), or the user total would
+    overflow a native int. *)
 val revise_count : t -> cls:int -> link:int -> delta:int -> unit
 
 (** [revise_weight v ~cls w'] rewrites class [cls]'s weight to [w'],
@@ -170,33 +182,52 @@ val improves : t -> cls:int -> src:int -> int -> bool
 
 (** [first_candidate v ~touched ~dirty ~lo ~hi] is the first occupied
     (class, link) pair — class ascending from [lo] to [hi - 1], then link
-    ascending — that a restricted repair scan must move.  A pair whose
-    class is [dirty] or whose link is [touched] qualifies when it
-    {!is_defector}; any other pair qualifies when it {!improves} by
-    moving into some touched link.  [touched] has one entry per link,
-    [dirty] one per class; neither is modified.
+    ascending — that a restricted repair scan must move, as [(cls, src,
+    dst)] with [dst = fst (best_response_for v ~cls ~src)], the move's
+    target.  A pair whose class is [dirty] or whose link is [touched]
+    qualifies when it {!is_defector}; any other pair qualifies when it
+    {!improves} by moving into some touched link.  [touched] has one
+    entry per link, [dirty] one per class; neither is modified.
 
     On the packed lane the scan is class-major: one O(m) pass per class
     finds the lowest cost of arriving on a link, over all links and
     over the touched ones, and each occupied source is settled by one
     compare against its own latency, so the scan is O(k·m) and
-    allocates nothing unless it returns a pair.  Every
-    verdict equals the per-pair one (an improving link exists exactly
-    when the minimum is below the current latency).  The exact lane
-    runs the per-pair checks, O(k·m²).  Read-only on the view, so
-    domains may share it.
+    allocates nothing unless it returns a pair.  Every verdict equals
+    the per-pair one (an improving link exists exactly when the minimum
+    is below the current latency), and the target is the pass's own
+    lowest-index argmin over all links, which for an improving source
+    is the best response's — no further pass and no rational.  The
+    exact lane runs the per-pair checks, O(k·m²), and takes the target
+    from one {!best_response_for}.  Read-only on the view, so domains
+    may share it.
     @raise Invalid_argument when an array length or the class range is
     wrong. *)
 val first_candidate :
-  t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> (int * int) option
+  t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> (int * int * int) option
+
+(** [first_code v ~touched ~dirty ~lo ~hi] is the scan of
+    {!first_candidate} without its last step: [-1] when there is no
+    candidate, otherwise a code that {!decode} turns into the same
+    [(cls, src, dst)].  On the exact lane only [decode] resolves the
+    target (one {!best_response_for}), so a scan sharded by class range
+    runs [first_code] per shard and decodes the first hit alone.
+    Read-only, allocation-free on the packed lane.
+    @raise Invalid_argument as {!first_candidate}. *)
+val first_code : t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> int
+
+(** [decode v code] is the [(cls, src, dst)] of a non-negative
+    {!first_code} result on the same, unmoved view.  O(1) on the packed
+    lane, one {!best_response_for} on the exact lane. *)
+val decode : t -> int -> int * int * int
 
 (** [first_defector v] is the first occupied (class, link) pair — class
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
     first-defector policy would pick on the expanded profile.
-    [None] at a Nash equilibrium.  The same scan as {!first_candidate}
-    with every pair checked in full, plus one O(m) best response:
-    O(k·m) on the packed lane, O(k·m²) on the exact lane. *)
+    [None] at a Nash equilibrium.  The scan of {!first_candidate} with
+    every pair checked in full: O(k·m) on the packed lane, O(k·m²) on
+    the exact lane. *)
 val first_defector : t -> (int * int * int) option
 
 (** [is_nash v] holds when no user of any class can strictly improve by
@@ -218,14 +249,19 @@ val max_improving_block : t -> cls:int -> src:int -> dst:int -> int
 
 (** [social_cost1 v] is [SC1 = Σ_c Σ_l n_cl · latency v c l], the
     count-weighted latencies.  On the packed lane, where every class is
-    load-linear, it is computed link-factored as [Σ_l load_l · T_l]
-    with [T_l = Σ_c n_cl / c_cl] summed in native ints over one common
-    denominator (the lcm of the occupied capacity numerators), leaving
-    m load products and one final reduction; it reads the packed
-    capacity tables and allocates a small constant number of words.
-    The exact lane, and the packed lane when a native step would
-    overflow, sum the terms one by one.  Either way the value — and so
-    its canonical form — is the per-term sum's.  O(k·m). *)
+    load-linear, it is link-factored as [Σ_l load_l · T_l] with [T_l =
+    Σ_c n_cl / c_cl], and [D·T_l] is cursor state: native ints over one
+    common multiple [D] of the occupied capacity numerators, kept by
+    {!move}, {!undo} and the revisions in O(1) (O(m) when a revised
+    numerator does not divide [D]).  The first call builds that state in
+    O(k·m); every later call is m products and one reduction, O(m), and
+    allocates a constant number of words whatever [k].  A native
+    overflow drops the state; the next call rebuilds it, and while it
+    cannot be built the terms are summed one by one, as on the exact
+    lane (O(k·m)).  Either way the value — and so its canonical form —
+    is the per-term sum's.  Builds cursor state, so the packed lane
+    carries the {!move} ownership guard: call it from the view's owner
+    only. *)
 val social_cost1 : t -> Numeric.Rational.t
 
 (** [social_cost2 v] is [SC2 = max latency over occupied (c, l)].

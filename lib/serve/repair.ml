@@ -19,17 +19,19 @@ let shard_bounds k domains =
    Workers receive frozen copies of the seed sets; the view itself is
    not mutated while a scan runs.  Shards are contiguous ascending
    class blocks and each reports its first candidate, so the first
-   [Some] in shard order is exactly the serial scan's candidate —
-   bit-identical for every domain count. *)
+   found in shard order is exactly the serial scan's candidate —
+   bit-identical for every domain count.  Shards return the bare scan
+   code, so the exact lane resolves one target, after the merge. *)
 let scan ~domains v touched dirty =
   let k = Cview.classes v in
   if domains <= 1 then Cview.first_candidate v ~touched ~dirty ~lo:0 ~hi:k
   else begin
     let tc = Array.copy touched and dc = Array.copy dirty in
     Parallel.map ~domains
-      (fun (lo, hi) -> Cview.first_candidate v ~touched:tc ~dirty:dc ~lo ~hi)
+      (fun (lo, hi) -> Cview.first_code v ~touched:tc ~dirty:dc ~lo ~hi)
       (shard_bounds k domains)
-    |> List.find_map Fun.id
+    |> List.find_opt (fun p -> p >= 0)
+    |> Option.map (Cview.decode v)
   end
 
 (* Re-apply a solved class profile to the live view as undoable block
@@ -59,37 +61,34 @@ let apply_profile v target =
     done
   done
 
+(* Seed after applying: occupancy only shrinks through departures,
+   which touch their own link, so each reweight's load changes are
+   covered by the class's post-batch occupancy plus the per-mutation
+   links.  Capacity revisions leave every load in place — only the
+   revised class can see them. *)
+let rec seed v touched dirty = function
+  | [] -> ()
+  | mu :: rest ->
+    (match mu with
+     | Mutation.Arrive { cls; link; _ } | Mutation.Depart { cls; link; _ } ->
+       dirty.(cls) <- true;
+       touched.(link) <- true
+     | Mutation.Reweight { cls; _ } ->
+       dirty.(cls) <- true;
+       for l = 0 to Array.length touched - 1 do
+         if Cview.assigned v cls l > 0 then touched.(l) <- true
+       done
+     | Mutation.Revise_capacity { cls; _ } -> dirty.(cls) <- true);
+    seed v touched dirty rest
+
+let count_set a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a
+
 let repair ~domains ~max_steps v batch =
   let k = Cview.classes v and m = Cview.links v in
   List.iter (Mutation.apply v) batch;
   let touched = Array.make m false and dirty = Array.make k false in
-  let touched_count = ref 0 in
-  let touch l =
-    if not touched.(l) then begin
-      touched.(l) <- true;
-      incr touched_count
-    end
-  in
-  (* Seed after applying: occupancy only shrinks through departures,
-     which touch their own link, so each reweight's load changes are
-     covered by the class's post-batch occupancy plus the per-mutation
-     links.  Capacity revisions leave every load in place — only the
-     revised class can see them. *)
-  List.iter
-    (fun mu ->
-      match mu with
-      | Mutation.Arrive { cls; link; _ } | Mutation.Depart { cls; link; _ } ->
-        dirty.(cls) <- true;
-        touch link
-      | Mutation.Reweight { cls; _ } ->
-        dirty.(cls) <- true;
-        for l = 0 to m - 1 do
-          if Cview.assigned v cls l > 0 then touch l
-        done
-      | Mutation.Revise_capacity { cls; _ } -> dirty.(cls) <- true)
-    batch;
-  let seeded_classes = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty in
-  let seeded_links = !touched_count in
+  seed v touched dirty batch;
+  let seeded_classes = count_set dirty and seeded_links = count_set touched in
   let moves = ref 0 and users_moved = ref 0 in
   (* [true] when the restricted scan came back clean; [false] when the
      budget ran out.  Once the frontier saturates (every link touched)
@@ -100,12 +99,11 @@ let repair ~domains ~max_steps v batch =
     else
       match scan ~domains v touched dirty with
       | None -> true
-      | Some (cls, src) ->
-        let dst, _ = Cview.best_response_for v ~cls ~src in
+      | Some (cls, src, dst) ->
         let count = Cview.max_improving_block v ~cls ~src ~dst in
         Cview.move v ~cls ~src ~dst ~count;
-        touch src;
-        touch dst;
+        touched.(src) <- true;
+        touched.(dst) <- true;
         dirty.(cls) <- true;
         incr moves;
         users_moved := !users_moved + count;
@@ -129,7 +127,7 @@ let repair ~domains ~max_steps v batch =
     users_moved = !users_moved;
     seeded_classes;
     seeded_links;
-    frontier_links = !touched_count;
+    frontier_links = count_set touched;
     fallback;
     nash = true;
   }

@@ -22,9 +22,17 @@
       link whose load dropped.  Dirty or touched pairs get the full
       defector check.  On the packed lane one O(m) pass per class
       settles every pair of the class (O(k·m) per scan); the exact lane
-      checks pair by pair (O(k·m²)).  Each block move marks its source
-      and destination links touched ({e frontier expansion}) and
-      re-enters the scan.
+      checks pair by pair (O(k·m²)).  The scan also names the move's
+      target, the best-response link: on the packed lane it is the
+      pass's own lowest-cost arrival link, so a block move costs no
+      further pass and no rational.  The block is the maximal
+      improving one (O(1)).  Each block move marks its source and
+      destination links touched ({e frontier expansion}) and re-enters
+      the scan from class 0.  (Resuming at the moved class was
+      measured and does not pay; see DESIGN.md §17.)
+    - {b Allocation.}  Seeding is a plain loop; a packed batch
+      allocates only the revisions' undo records and rationals, the
+      scan results, the epoch closure and the two seed sets.
     - {b Saturation and fallback.}  When the frontier saturates (every
       link touched) the restricted scan degrades to exactly
       {!Algo.Cbr}'s full first-defector scan, i.e. full best-response

@@ -543,6 +543,136 @@ let test_social_cost_bias () =
     if Cview.packed v then Alcotest.failf "trial %d: participation game packed" trial
   done
 
+(* The report state under random cursor chains.  A test-local per-term
+   SC1 and the sum of the class counts are the oracles for
+   [social_cost1] and [users] after every step of a chain of moves,
+   count/weight/capacity revisions and undos, then after each undo back
+   to the start.  Capacities draw numerators from a pool whose entries
+   rarely divide one another, so revisions often bring a numerator that
+   does not divide the occupied ones' lcm (counted as [grown]);
+   weights with denominator 3 spill the packed lane and undos restore
+   it; near-2^31 primes leave three distinct numerators occupied, whose
+   lcm no native int holds, so the per-term sum answers. *)
+let per_term_sc1 v =
+  let acc = ref Rational.zero in
+  for c = 0 to Cview.classes v - 1 do
+    for l = 0 to Cview.links v - 1 do
+      let e = Cview.assigned v c l in
+      if e > 0 then acc := Rational.add !acc (Rational.mul (Rational.of_int e) (Cview.latency v c l))
+    done
+  done;
+  !acc
+
+let sum_counts v =
+  let t = ref 0 in
+  for c = 0 to Cview.classes v - 1 do
+    t := !t + Cview.class_count v c
+  done;
+  !t
+
+(* Distinct near-2^31 prime numerators among the occupied pairs. *)
+let occupied_primes31 v =
+  let seen = Array.make (Array.length primes31) false in
+  for c = 0 to Cview.classes v - 1 do
+    for l = 0 to Cview.links v - 1 do
+      if Cview.assigned v c l > 0 then
+        Array.iteri
+          (fun i p ->
+            if Bigint.equal (Rational.num (Cview.capacity v c l)) (Bigint.of_int p) then
+              seen.(i) <- true)
+          primes31
+    done
+  done;
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen
+
+let lcm_occupied v =
+  let d = ref Bigint.one in
+  for c = 0 to Cview.classes v - 1 do
+    for l = 0 to Cview.links v - 1 do
+      if Cview.assigned v c l > 0 then begin
+        let a = Rational.num (Cview.capacity v c l) in
+        d := Bigint.div (Bigint.mul !d a) (Bigint.gcd !d a)
+      end
+    done
+  done;
+  !d
+
+let cap_numerators = [| 1; 2; 3; 5; 7; 9; 11; 13; 16; 25 |]
+
+let test_report_state_chains () =
+  let rng = Prng.Rng.create 0x5C15 in
+  let packed_steps = ref 0 and exact_steps = ref 0 and grown = ref 0 in
+  let restored = ref 0 and fallback_steps = ref 0 in
+  for trial = 1 to 800 do
+    let k = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 4 in
+    let counts = Array.init k (fun _ -> Prng.Rng.int_in rng 1 6) in
+    let exact = trial mod 6 = 0 and primes = trial mod 4 = 1 in
+    let weights =
+      Array.init k (fun _ ->
+          let w = Rational.of_int (Prng.Rng.int_in rng 1 3) in
+          if exact then Rational.mul w huge_den else w)
+    in
+    let cap () =
+      if primes && Prng.Rng.int rng 2 = 0 then
+        Rational.of_ints primes31.(Prng.Rng.int rng 3) (Prng.Rng.int_in rng 1 3)
+      else
+        Rational.of_ints
+          cap_numerators.(Prng.Rng.int rng (Array.length cap_numerators))
+          (Prng.Rng.int_in rng 1 3)
+    in
+    let cg = Cgame.of_capacities ~counts ~weights (Array.init k (fun _ -> Array.init m (fun _ -> cap ()))) in
+    let v = Cview.of_profile cg (random_profile rng counts m) in
+    let check what =
+      Alcotest.check check_q (Printf.sprintf "trial %d %s: SC1" trial what) (per_term_sc1 v)
+        (Cview.social_cost1 v);
+      Alcotest.(check int) (Printf.sprintf "trial %d %s: users" trial what) (sum_counts v) (Cview.users v);
+      if Cview.packed v then incr packed_steps else incr exact_steps;
+      if Cview.packed v && occupied_primes31 v = 3 then incr fallback_steps
+    in
+    check "start";
+    for step = 1 to 30 do
+      let cls = Prng.Rng.int rng k in
+      (match Prng.Rng.int rng 7 with
+       | 0 | 1 ->
+         let src = Prng.Rng.int rng m and dst = Prng.Rng.int rng m in
+         let count = Prng.Rng.int_in rng 0 (Cview.assigned v cls src) in
+         Cview.move v ~cls ~src ~dst ~count
+       | 2 ->
+         let link = Prng.Rng.int rng m in
+         let avail = min (Cview.assigned v cls link) (Cview.class_count v cls - 1) in
+         let delta = if avail > 0 && Prng.Rng.int rng 2 = 0 then -Prng.Rng.int_in rng 1 avail else Prng.Rng.int_in rng 1 4 in
+         Cview.revise_count v ~cls ~link ~delta
+       | 3 ->
+         let den = if Prng.Rng.int rng 4 = 0 then 3 else 1 in
+         Cview.revise_weight v ~cls (Rational.of_ints (Prng.Rng.int_in rng 1 5) den)
+       | 4 | 5 ->
+         let link = Prng.Rng.int rng m in
+         let before = lcm_occupied v and c' = cap () in
+         Cview.revise_capacity v ~cls ~link c';
+         if Cview.packed v && Cview.assigned v cls link > 0
+            && not (Bigint.is_zero (snd (Bigint.divmod before (Rational.num c'))))
+         then incr grown
+       | _ ->
+         if Cview.depth v > 0 then begin
+           let was = Cview.packed v in
+           Cview.undo v;
+           if Cview.packed v && not was then incr restored
+         end);
+      check (Printf.sprintf "step %d" step)
+    done;
+    while Cview.depth v > 0 do
+      let was = Cview.packed v in
+      Cview.undo v;
+      if Cview.packed v && not was then incr restored;
+      check "undo"
+    done
+  done;
+  if !packed_steps < 12_000 || !exact_steps < 8_000 || !grown < 600 || !restored < 200
+     || !fallback_steps < 800
+  then
+    Alcotest.failf "coverage too thin: %d packed, %d exact steps, %d grown, %d restored, %d fallback"
+      !packed_steps !exact_steps !grown !restored !fallback_steps
+
 (* The serve report's shape: k = 96 classes over m = 8 links, every
    pair occupied, on the packed lane.  The factored SC1 reads the
    packed int tables and builds one rational, so a call allocates a
@@ -598,6 +728,8 @@ let words_per_call ~calls f =
    per-pair predicates and the block size allocate nothing per call,
    both at an equilibrium and away from one.  Only [first_candidate]'s
    [Some] result allocates, so it is pinned where it returns [None].
+   The per-batch report and a whole repaired batch are pinned at their
+   measured counts.
    Native code only: bytecode boxes what native code keeps in
    registers. *)
 let test_packed_zero_allocation () =
@@ -652,7 +784,63 @@ let test_packed_zero_allocation () =
                  if dst <> src then
                    ignore (Sys.opaque_identity (Cview.max_improving_block v ~cls ~src ~dst))
                done)))
-      [ nash; away ]
+      [ nash; away ];
+    (* The per-batch report: once the first call has built the report
+       state, SC1 is m products and one rational, so its words do not
+       grow with k (measured: 89 words per call at both k = 96 and
+       k = 12). *)
+    let sc1_words v =
+      ignore (Cview.social_cost1 v);
+      words_per_call ~calls:200 (fun () -> ignore (Sys.opaque_identity (Cview.social_cost1 v)))
+    in
+    let few = 12 in
+    let cg12 =
+      Cgame.of_capacities ~counts:(Array.sub counts 0 few) ~weights:(Array.sub weights 0 few)
+        (Array.sub caps 0 few)
+    in
+    let v12 = Cview.of_profile cg12 (Algo.Cbr.converge cg12 (Algo.Cbr.proportional_start cg12)).Algo.Cbr.profile in
+    List.iter
+      (fun (k, v) ->
+        let words = sc1_words v in
+        if words >= 96. then Alcotest.failf "packed social_cost1 allocated %.2f words per call at k = %d" words k)
+      [ (k, nash); (few, v12) ];
+    (* One serving batch of each mutation kind (an arrival, a departure,
+       a reweight and a whole-row capacity rescale), repaired on a live
+       packed view and rolled back between runs: 657 words per batch
+       measured, from the revisions' undo records and rationals, the
+       scan's results and the seed sets. *)
+    let live = Cview.of_profile cg o.Algo.Cbr.profile in
+    ignore (Cview.social_cost1 live);
+    let busiest cls =
+      let best = ref 0 in
+      for l = 1 to m - 1 do
+        if Cview.assigned live cls l > Cview.assigned live cls !best then best := l
+      done;
+      !best
+    in
+    let batch =
+      Serve.Mutation.
+        [
+          Arrive { cls = 3; link = 2; count = 5 };
+          Depart { cls = 7; link = busiest 7; count = 4 };
+          Reweight { cls = 11; weight = Rational.of_int 3 };
+        ]
+      @ List.init m (fun link ->
+            Serve.Mutation.Revise_capacity
+              { cls = 5; link; cap = Rational.mul (Rational.of_ints 9 8) (Cview.capacity live 5 link) })
+    in
+    let d0 = Cview.depth live and total = ref 0. and runs = 50 in
+    for _ = 1 to runs do
+      let w0 = Gc.minor_words () in
+      let r = Serve.Repair.repair_batch live batch in
+      total := !total +. (Gc.minor_words () -. w0);
+      if r.Serve.Repair.fallback || not (Cview.packed live) then Alcotest.fail "batch left the packed repair path";
+      while Cview.depth live > d0 do
+        Cview.undo live
+      done
+    done;
+    let words = !total /. float_of_int runs in
+    if words >= 700. then Alcotest.failf "repair_batch allocated %.2f words per batch" words
 
 (* Per-pair oracles from the public [best_response_for] and [latency]:
    a pair defects iff its best response is strictly cheaper than
@@ -742,6 +930,10 @@ let test_ownership_guard () =
           Cview.move v ~cls:0 ~src:0 ~dst:0 ~count:0);
       Alcotest.check_raises "foreign-domain undo trips the guard" expected (fun () ->
           Cview.undo v);
+      (* The packed report state is cursor state too. *)
+      Alcotest.(check bool) "view is packed" true (Cview.packed v);
+      Alcotest.check_raises "foreign-domain packed social_cost1 trips the guard" expected
+        (fun () -> ignore (Cview.social_cost1 v));
       Cview.unsafe_set_owner v (O.self_id ());
       Cview.undo v;
       Alcotest.(check int) "history balanced after guarded attempts" 0 (Cview.depth v))
@@ -772,6 +964,7 @@ let () =
           Alcotest.test_case "overflow fallback vs Pure" `Quick test_social_cost_fallback;
           Alcotest.test_case "participation bias vs Pure" `Quick test_social_cost_bias;
           Alcotest.test_case "packed SC1 allocation pin" `Quick test_social_cost1_allocation;
+          Alcotest.test_case "report state under cursor chains" `Quick test_report_state_chains;
         ] );
       ( "nash scan",
         [

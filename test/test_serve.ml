@@ -448,10 +448,25 @@ let per_pair_candidate v touched dirty lo hi =
 (* The cost of one class-[cls] user arriving on [l] from elsewhere. *)
 let arrival_cost v cls l = Cview.latency_after_move v ~cls ~src:((l + 1) mod Cview.links v) l
 
+(* [first_candidate] on [lo, hi) must return the per-pair scan's pair
+   with the best response's link as its target. *)
+let check_candidate trial v touched dirty lo hi =
+  let got = Cview.first_candidate v ~touched ~dirty ~lo ~hi in
+  if Option.map (fun (c, s, _) -> (c, s)) got <> per_pair_candidate v touched dirty lo hi then
+    Alcotest.failf "trial %d: first_candidate disagrees with the per-pair scan on [%d, %d)" trial lo
+      hi;
+  (match got with
+   | Some (cls, src, dst) when dst <> fst (Cview.best_response_for v ~cls ~src) ->
+     Alcotest.failf "trial %d: first_candidate's target %d differs from the best response" trial dst
+   | _ -> ());
+  got
+
 (* Random views, mostly off equilibrium, with random touched and dirty
    sets and class ranges: the class-major scan must return the per-pair
-   scan's pair.  Tie-heavy packed games (capacities and weights in
-   {1, 2}) make the packed pass's corner cases common, and the trial
+   scan's pair and the best response's target, there and along the
+   repair-style chains that follow (on both lanes: every fourth view
+   also runs its chain on an exact-lane twin).  Tie-heavy packed games
+   (capacities and weights in {1, 2}) make the packed pass's corner cases common, and the trial
    loop counts them to prove they ran: a wide or touched source whose
    own link is the unique cheapest to arrive on (the pass's minimum is
    then the source itself), and a best alternative that exactly ties
@@ -459,9 +474,10 @@ let arrival_cost v cls l = Cview.latency_after_move v ~cls ~src:((l + 1) mod Cvi
 let test_first_candidate_differential () =
   let rng = Prng.Rng.create 0xF1C4 in
   let unique_best = ref 0 and tie_current = ref 0 and packed = ref 0 in
+  let chained = [| 0; 0 |] in
   for trial = 1 to 5_000 do
-    let g =
-      if trial mod 4 = 0 then random_cgame rng
+    let g, twin =
+      if trial mod 4 = 0 then (random_cgame rng, None)
       else begin
         let k = 1 + Prng.Rng.int rng 6 and m = 2 + Prng.Rng.int rng 4 in
         let counts = Array.init k (fun _ -> 1 + Prng.Rng.int rng 9) in
@@ -469,7 +485,16 @@ let test_first_candidate_differential () =
         let caps =
           Array.init k (fun _ -> Array.init m (fun _ -> Rational.of_int (1 + Prng.Rng.int rng 2)))
         in
-        Cgame.of_capacities ~counts ~weights caps
+        (* The same game with every weight scaled by 10^-20: all
+           latencies scale alike, so the ties stay, but no native scale
+           fits and the twin runs on the exact lane. *)
+        let tiny = Rational.make Bigint.one (Bigint.of_string "100000000000000000000") in
+        let twin =
+          if trial mod 4 = 2 then
+            Some (Cgame.of_capacities ~counts ~weights:(Array.map (Rational.mul tiny) weights) caps)
+          else None
+        in
+        (Cgame.of_capacities ~counts ~weights caps, twin)
       end
     in
     let k = Cgame.classes g and m = Cgame.links g in
@@ -490,10 +515,7 @@ let test_first_candidate_differential () =
     let dirty = Array.init k (fun _ -> Prng.Rng.int rng 4 = 0) in
     let lo = Prng.Rng.int rng (k + 1) in
     let hi = lo + Prng.Rng.int rng (k - lo + 1) in
-    let got = Cview.first_candidate v ~touched ~dirty ~lo ~hi in
-    if got <> per_pair_candidate v touched dirty lo hi then
-      Alcotest.failf "trial %d: first_candidate disagrees with the per-pair scan on [%d, %d)" trial
-        lo hi;
+    ignore (check_candidate trial v touched dirty lo hi);
     if Cview.packed v then
       for c = lo to hi - 1 do
         for s = 0 to m - 1 do
@@ -515,15 +537,42 @@ let test_first_candidate_differential () =
               if Rational.equal b (Cview.latency v c s) then incr tie_current
           end
         done
+      done;
+    (* Then repair-style chains, on the view and on its exact twin:
+       move the candidate's maximal block, touch both links, dirty the
+       class and scan again from class 0. *)
+    let chain v touched dirty =
+      let moves = ref 0 and running = ref true in
+      while !running && !moves < 8 do
+        match check_candidate trial v touched dirty 0 k with
+        | None -> running := false
+        | Some (cls, src, dst) ->
+          let lane = if Cview.packed v then 0 else 1 in
+          chained.(lane) <- chained.(lane) + 1;
+          let count = Cview.max_improving_block v ~cls ~src ~dst in
+          if count < 1 then Alcotest.failf "trial %d: the candidate's block is empty" trial;
+          Cview.move v ~cls ~src ~dst ~count;
+          touched.(src) <- true;
+          touched.(dst) <- true;
+          dirty.(cls) <- true;
+          incr moves
       done
+    in
+    Option.iter
+      (fun g' -> chain (Cview.of_profile g' (Cview.profile v)) (Array.copy touched) (Array.copy dirty))
+      twin;
+    chain v touched dirty
   done;
   if !packed < 3_000 || !unique_best < 100 || !tie_current < 100 then
     Alcotest.failf "corner cases too rare: %d packed views, %d unique-best sources, %d ties" !packed
-      !unique_best !tie_current
+      !unique_best !tie_current;
+  if chained.(0) < 10_000 || chained.(1) < 3_000 then
+    Alcotest.failf "chains too short: %d packed, %d exact moves" chained.(0) chained.(1)
 
 (* Parallel repair scans must pick the same first defector as the
    serial scan: profiles after every batch are bit-identical across
-   domain counts. *)
+   domain counts, on the packed lane and, with every weight scaled by
+   10^-20, on the exact lane. *)
 let test_repair_domains_identical () =
   let k = 12 and m = 4 in
   let counts = Array.init k (fun _ -> 40) in
@@ -532,29 +581,34 @@ let test_repair_domains_identical () =
     Array.init k (fun c ->
         Array.init m (fun l -> Rational.of_int (((c + l) mod 3 + 1) * (m - l + 1))))
   in
-  let g = Cgame.of_capacities ~counts ~weights caps in
-  let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
-  Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
-  let views = List.map (fun _ -> Cview.of_profile g o.Algo.Cbr.profile) [ 1; 2; 5 ] in
-  let rng = Prng.Rng.create 99 in
-  for batchno = 1 to 30 do
-    let v0 = List.hd views in
-    let mu = random_mutation rng v0 in
-    List.iteri
-      (fun i v ->
-        let domains = List.nth [ 1; 2; 5 ] i in
-        let r = Repair.repair_batch ~domains v [ mu ] in
-        if not r.Repair.nash then
-          Alcotest.failf "batch %d: domains=%d returned nash=false" batchno domains)
-      views;
-    let p0 = Cview.profile v0 in
-    List.iteri
-      (fun i v ->
-        if Cview.profile v <> p0 then
-          Alcotest.failf "batch %d: domains=%d profile diverged from serial" batchno
-            (List.nth [ 1; 2; 5 ] i))
-      views
-  done
+  let tiny = Rational.make Bigint.one (Bigint.of_string "100000000000000000000") in
+  List.iter
+    (fun (scale, packed) ->
+      let g = Cgame.of_capacities ~counts ~weights:(Array.map (Rational.mul scale) weights) caps in
+      let o = Algo.Cbr.converge g (Algo.Cbr.proportional_start g) in
+      Alcotest.(check bool) "seed converged" true o.Algo.Cbr.converged;
+      let views = List.map (fun _ -> Cview.of_profile g o.Algo.Cbr.profile) [ 1; 2; 5 ] in
+      Alcotest.(check bool) "lane" packed (Cview.packed (List.hd views));
+      let rng = Prng.Rng.create 99 in
+      for batchno = 1 to 30 do
+        let v0 = List.hd views in
+        let mu = random_mutation rng v0 in
+        List.iteri
+          (fun i v ->
+            let domains = List.nth [ 1; 2; 5 ] i in
+            let r = Repair.repair_batch ~domains v [ mu ] in
+            if not r.Repair.nash then
+              Alcotest.failf "batch %d: domains=%d returned nash=false" batchno domains)
+          views;
+        let p0 = Cview.profile v0 in
+        List.iteri
+          (fun i v ->
+            if Cview.profile v <> p0 then
+              Alcotest.failf "batch %d: domains=%d profile diverged from serial" batchno
+                (List.nth [ 1; 2; 5 ] i))
+          views
+      done)
+    [ (Rational.one, true); (tiny, false) ]
 
 (* Per-user repair over a View cursor: expand a class equilibrium,
    mutate at the user level, repair, and check the exact predicate. *)
