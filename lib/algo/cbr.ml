@@ -10,20 +10,31 @@ type outcome = {
 
 (* Cumulative rounding: link l gets floor(count·S_l/S) − floor(count·S_{l−1}/S)
    users, S_l the capacity prefix sum.  Exact, non-negative, sums to
-   count, and tracks the capacity proportions within one user. *)
+   count, and tracks the capacity proportions within one user.  Scaling
+   the row by the lcm of its denominators leaves every ratio S_l/S as
+   it is, so the prefix sums are integers and each floor is one
+   [Bigint.div] (truncation is the floor: every operand is positive);
+   [Bigint]'s small-value fast path keeps the usual row native. *)
 let proportional_start g =
   let k = Cgame.classes g and m = Cgame.links g in
   Array.init k (fun c ->
       let row = Cgame.capacity_row g c in
-      let total = Rational.sum (Array.to_list row) in
-      let count = Rational.of_int (Cgame.count g c) in
-      let cum = ref Rational.zero and prev = ref 0 in
+      let lcm =
+        Array.fold_left
+          (fun acc q ->
+            let d = Rational.den q in
+            Bigint.mul acc (Bigint.div d (Bigint.gcd acc d)))
+          Bigint.one row
+      in
+      let scaled =
+        Array.map (fun q -> Bigint.mul (Rational.num q) (Bigint.div lcm (Rational.den q))) row
+      in
+      let total = Array.fold_left Bigint.add Bigint.zero scaled in
+      let count = Bigint.of_int (Cgame.count g c) in
+      let cum = ref Bigint.zero and prev = ref 0 in
       Array.init m (fun l ->
-          cum := Rational.add !cum row.(l);
-          let upto =
-            Bigint.to_int_exn
-              (Rational.num (Rational.floor (Rational.div (Rational.mul count !cum) total)))
-          in
+          cum := Bigint.add !cum scaled.(l);
+          let upto = Bigint.to_int_exn (Bigint.div (Bigint.mul count !cum) total) in
           let here = upto - !prev in
           prev := upto;
           here))

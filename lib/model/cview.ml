@@ -637,34 +637,39 @@ let improves v ~cls ~src dst =
 (* Class-major packed pass.  A user of class [cls] arriving on link l
    costs (L_l + w)·cd_l / (scale·cn_l) whatever its source, so one O(m)
    pass over the links finds the lowest arrival cost, over all links
-   and over the touched ones, each as the int pair (num, cn).  "Some
-   link in S improves on the current cost" holds exactly when "the
-   minimum over S is below it", so each occupied source s is settled by
-   one cross-multiplied compare against its current cost
-   L_s·cd_s / (scale·cn_s): against the minimum over all links when
-   [wide] or s is touched, over the touched links otherwise (a clean
-   source is untouched, so s is not among them).  The minimum over all
-   links may be s itself, which then improves on nothing: its arrival
-   cost (L_s + w)·cd_s/cn_s exceeds its current cost, so its users
-   have no cheaper link and the compare rightly fails — no second-best
-   is needed.  Every product is at most 2·total·maxcd·maxcn, within the
-   [Packing.admits] bound (w ≤ total as every class is occupied).
+   and (unless [wide]) over the touched ones, each as the int pair
+   (num, cn).  "Some link in S improves on the current cost" holds
+   exactly when "the minimum over S is below it", so an occupied source
+   s with current cost L_s·cd_s / (scale·cn_s) defects iff it lies above
+   the all-links minimum.  The minimum over all links may be s itself,
+   which then improves on nothing: its arrival cost (L_s + w)·cd_s/cn_s
+   exceeds its current cost, so its users have no cheaper link and the
+   compare rightly fails — no second-best is needed.  A defector is a
+   candidate when [wide] or s is touched, and otherwise when it also
+   lies above the touched minimum (a clean source is untouched, so s is
+   not among the touched links).  The touched minimum is no lower than
+   the all-links one, so a source that fails the first compare fails
+   the second too, and the first alone settles every source that does
+   not defect.  Every product is at most 2·total·maxcd·maxcn, within
+   the [Packing.admits] bound (w ≤ total as every class is occupied).
 
    The all-links minimum's lowest index is also the move's target:
    for an improving source s, [packed_best]'s costs are the arrival
    costs off s, and s's own entry there (its current cost) lies above
    the minimum, as does its arrival cost here, so both argmins are the
-   lowest link at the minimum value.  A clean source improves on the
-   touched minimum, which is no lower than the all-links one.  Returns
-   the first improving source in link order as [src·m + target], or
-   -1. *)
+   lowest link at the minimum value.  Returns the first candidate
+   source in link order as [src·m + target]; otherwise -2 when some
+   clean source defects only through an untouched link, -1 when no
+   source defects.  The tables are mutable fields, so they are read
+   into locals once. *)
 let packed_class pk occ ~wide touched cls =
-  let m = Array.length pk.piload in
+  let piload = pk.piload and pcd = pk.pcd and pcn = pk.pcn in
+  let m = Array.length piload in
   let base = cls * m and w = pk.ppw.(cls) in
   (* A denominator of 0 marks "no link seen yet". *)
   let an = ref 0 and ad = ref 0 and ai = ref 0 and tn = ref 0 and td = ref 0 in
   for l = 0 to m - 1 do
-    let a = (pk.piload.(l) + w) * pk.pcd.(base + l) and cn = pk.pcn.(base + l) in
+    let a = (piload.(l) + w) * pcd.(base + l) and cn = pcn.(base + l) in
     if !ad = 0 || a * !ad < !an * cn then begin
       an := a;
       ad := cn;
@@ -679,47 +684,64 @@ let packed_class pk occ ~wide touched cls =
   while !found < 0 && !s < m do
     let src = !s in
     if occ.(src) > 0 then begin
-      let cnum = pk.piload.(src) * pk.pcd.(base + src) and ccn = pk.pcn.(base + src) in
-      let improving =
-        if wide || touched.(src) then !an * ccn < cnum * !ad
-        else !td > 0 && !tn * ccn < cnum * !td
-      in
-      if improving then found := (src * m) + !ai
+      let cnum = piload.(src) * pcd.(base + src) and ccn = pcn.(base + src) in
+      if !an * ccn < cnum * !ad then
+        if wide || touched.(src) || (!td > 0 && !tn * ccn < cnum * !td) then
+          found := (src * m) + !ai
+        else found := -2
     end;
     incr s
   done;
   !found
 
+(* Exact-lane probe: does a link l ≠ [src] with [touched.(l) = side]
+   improve on the source's current latency?  The inequality is
+   [is_defector]'s, with the current latency computed once. *)
+let exact_improves_on v loads ~cls ~src touched side =
+  let m = Array.length loads and l = ref 0 in
+  let current = latency v cls src and w = v.weights.(cls) and caps = v.caps.(cls) in
+  while
+    !l < m
+    && not
+         (Bool.equal touched.(!l) side
+          && !l <> src
+          && Rational.compare_sum loads.(!l) w (Rational.mul current caps.(!l)) < 0)
+  do
+    incr l
+  done;
+  !l < m
+
 (* The exact lane's per-pair form of the same rule: the full defector
    check when [wide] or the source is touched, moves into touched links
-   otherwise. *)
-let exact_class v ~wide touched cls =
-  let m = links v and occ = v.assign.(cls) in
+   otherwise.  When [verify] holds, a clean source that finds no
+   touched link is then probed against the untouched ones — together
+   the full defector check, with no link compared twice — and a hit
+   there makes the class's result -2.  Returns the first candidate
+   source, else -2 or -1 as [packed_class]. *)
+let exact_class v loads ~wide ~verify touched cls =
+  let m = Array.length loads and occ = v.assign.(cls) in
   let found = ref (-1) and s = ref 0 in
   while !found < 0 && !s < m do
     let src = !s in
     if occ.(src) > 0 then begin
-      let improving =
-        if wide || touched.(src) then is_defector v ~cls ~src
-        else begin
-          let l = ref 0 in
-          while !l < m && not (touched.(!l) && improves v ~cls ~src !l) do
-            incr l
-          done;
-          !l < m
-        end
-      in
-      if improving then found := src
+      if wide || touched.(src) then begin
+        if is_defector v ~cls ~src then found := src
+      end
+      else if exact_improves_on v loads ~cls ~src touched true then found := src
+      else if verify && !found = -1 && exact_improves_on v loads ~cls ~src touched false then
+        found := -2
     end;
     incr s
   done;
   !found
 
 (* Class ascending, source link ascending: the exact order in which
-   [Cgame.expand_profile] lays out the users.  The first improving pair
-   with its target as [(cls·m + src)·m + dst], or -1; the exact lane
-   leaves [dst] at 0 for [decode] to fill in.  [full] checks every pair
-   against every link and reads neither set. *)
+   [Cgame.expand_profile] lays out the users.  The first candidate pair
+   with its target as [(cls·m + src)·m + dst]; the exact lane leaves
+   [dst] at 0 for [decode] to fill in.  With no candidate, -2 when some
+   class hides a defector outside the frontier, else -1: the restricted
+   scan and the full Nash check in one pass.  [full] checks every pair
+   against every link, reads neither set and never returns -2. *)
 let first_pair v ~full touched dirty lo hi =
   let m = links v in
   let p = ref (-1) and c = ref lo in
@@ -728,10 +750,10 @@ let first_pair v ~full touched dirty lo hi =
     (match v.lane with
      | Packed pk ->
        let q = packed_class pk v.assign.(!c) ~wide touched !c in
-       if q >= 0 then p := (!c * m * m) + q
-     | Exact _ ->
-       let src = exact_class v ~wide touched !c in
-       if src >= 0 then p := ((!c * m) + src) * m);
+       if q >= 0 then p := (!c * m * m) + q else if q = -2 then p := -2
+     | Exact loads ->
+       let q = exact_class v loads ~wide ~verify:(!p = -1) touched !c in
+       if q >= 0 then p := ((!c * m) + q) * m else if q = -2 then p := -2);
     incr c
   done;
   !p
@@ -747,16 +769,11 @@ let decode v p =
 let first_code v ~touched ~dirty ~lo ~hi =
   let k = classes v and m = links v in
   if Array.length touched <> m then
-    invalid_arg "Cview.first_candidate: touched length differs from link count";
+    invalid_arg "Cview.first_code: touched length differs from link count";
   if Array.length dirty <> k then
-    invalid_arg "Cview.first_candidate: dirty length differs from class count";
-  if lo < 0 || lo > hi || hi > k then
-    invalid_arg "Cview.first_candidate: class range out of bounds";
+    invalid_arg "Cview.first_code: dirty length differs from class count";
+  if lo < 0 || lo > hi || hi > k then invalid_arg "Cview.first_code: class range out of bounds";
   first_pair v ~full:false touched dirty lo hi
-
-let first_candidate v ~touched ~dirty ~lo ~hi =
-  let p = first_code v ~touched ~dirty ~lo ~hi in
-  if p < 0 then None else Some (decode v p)
 
 let first_defector v =
   let p = first_pair v ~full:true [||] [||] 0 (classes v) in

@@ -180,40 +180,47 @@ val is_defector : t -> cls:int -> src:int -> bool
     may probe candidate destinations one at a time. *)
 val improves : t -> cls:int -> src:int -> int -> bool
 
-(** [first_candidate v ~touched ~dirty ~lo ~hi] is the first occupied
-    (class, link) pair — class ascending from [lo] to [hi - 1], then link
-    ascending — that a restricted repair scan must move, as [(cls, src,
-    dst)] with [dst = fst (best_response_for v ~cls ~src)], the move's
-    target.  A pair whose class is [dirty] or whose link is [touched]
-    qualifies when it {!is_defector}; any other pair qualifies when it
-    {!improves} by moving into some touched link.  [touched] has one
-    entry per link, [dirty] one per class; neither is modified.
+(** [first_code v ~touched ~dirty ~lo ~hi] is the repair's restricted
+    scan, with the Nash verdict of its classes folded in.  It visits the
+    occupied (class, link) pairs — class ascending from [lo] to
+    [hi - 1], then link ascending — for the first one a restricted
+    repair scan must move.  A pair whose class is [dirty] or whose link
+    is [touched] qualifies when it {!is_defector}; any other pair
+    qualifies when it {!improves} by moving into some touched link.
+    [touched] has one entry per link, [dirty] one per class; neither is
+    modified.  It returns one of three kinds of value:
+    - [>= 0]: the first qualifying pair, as a code that {!decode} turns
+      into [(cls, src, dst)] with [dst = fst (best_response_for v ~cls
+      ~src)], the move's target;
+    - [-1]: no pair qualifies, and no user of these classes can improve
+      at all — with [lo = 0] and [hi = classes v], exactly {!is_nash};
+    - [-2]: no pair qualifies, but some clean pair defects through an
+      untouched link (a frontier that does not cover the state's
+      defectors, as after a non-equilibrium start).
 
     On the packed lane the scan is class-major: one O(m) pass per class
     finds the lowest cost of arriving on a link, over all links and
-    over the touched ones, and each occupied source is settled by one
-    compare against its own latency, so the scan is O(k·m) and
-    allocates nothing unless it returns a pair.  Every verdict equals
-    the per-pair one (an improving link exists exactly when the minimum
-    is below the current latency), and the target is the pass's own
-    lowest-index argmin over all links, which for an improving source
-    is the best response's — no further pass and no rational.  The
-    exact lane runs the per-pair checks, O(k·m²), and takes the target
-    from one {!best_response_for}.  Read-only on the view, so domains
-    may share it.
+    over the touched ones, and each occupied source is settled against
+    its own latency, so the scan is O(k·m) and allocates nothing.  A
+    source is first compared against the all-links minimum — the
+    {!is_nash} compare — and only one that lies above it is compared
+    against the touched minimum, so the verdict costs nothing extra.
+    Every verdict equals the per-pair one (an improving link exists
+    exactly when the minimum is below the current latency), and the
+    target is the pass's own lowest-index argmin over all links, which
+    for an improving source is the best response's — no further pass
+    and no rational.  The exact lane runs the per-pair checks,
+    O(k·m²): a clean source that finds no improving touched link is
+    probed against the untouched ones, so each link is compared once.
+    Only {!decode} resolves an exact-lane target (one
+    {!best_response_for}).
+
+    A scan sharded by class range runs [first_code] per shard and
+    merges in shard order: the first [>= 0] code, else [-2] if any
+    shard returned [-2], else [-1] — the serial result; only the merged
+    code is decoded.  Read-only on the view, so domains may share it.
     @raise Invalid_argument when an array length or the class range is
     wrong. *)
-val first_candidate :
-  t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> (int * int * int) option
-
-(** [first_code v ~touched ~dirty ~lo ~hi] is the scan of
-    {!first_candidate} without its last step: [-1] when there is no
-    candidate, otherwise a code that {!decode} turns into the same
-    [(cls, src, dst)].  On the exact lane only [decode] resolves the
-    target (one {!best_response_for}), so a scan sharded by class range
-    runs [first_code] per shard and decodes the first hit alone.
-    Read-only, allocation-free on the packed lane.
-    @raise Invalid_argument as {!first_candidate}. *)
 val first_code : t -> touched:bool array -> dirty:bool array -> lo:int -> hi:int -> int
 
 (** [decode v code] is the [(cls, src, dst)] of a non-negative
@@ -225,7 +232,7 @@ val decode : t -> int -> int * int * int
     ascending, then link ascending — whose users defect, together with
     their best-response link: exactly the move the per-user
     first-defector policy would pick on the expanded profile.
-    [None] at a Nash equilibrium.  The scan of {!first_candidate} with
+    [None] at a Nash equilibrium.  The scan of {!first_code} with
     every pair checked in full: O(k·m) on the packed lane, O(k·m²) on
     the exact lane. *)
 val first_defector : t -> (int * int * int) option

@@ -1,4 +1,3 @@
-open Numeric
 open Model
 
 type outcome = {
@@ -15,23 +14,27 @@ let shard_bounds k domains =
   let d = max 1 (min domains k) in
   List.init d (fun i -> ((i * k) / d, ((i + 1) * k) / d))
 
-(* The restricted first-defector scan is [Cview.first_candidate].
-   Workers receive frozen copies of the seed sets; the view itself is
-   not mutated while a scan runs.  Shards are contiguous ascending
-   class blocks and each reports its first candidate, so the first
-   found in shard order is exactly the serial scan's candidate —
-   bit-identical for every domain count.  Shards return the bare scan
+(* The restricted first-defector scan is [Cview.first_code].  Workers
+   receive frozen copies of the seed sets; the view itself is not
+   mutated while a scan runs.  Shards are contiguous ascending class
+   blocks and each reports its own code, so the first candidate in
+   shard order is exactly the serial scan's candidate, and with none,
+   a shard's -2 (a defector outside the frontier) is the serial scan's
+   -2 — bit-identical for every domain count.  Shards return the bare
    code, so the exact lane resolves one target, after the merge. *)
 let scan ~domains v touched dirty =
   let k = Cview.classes v in
-  if domains <= 1 then Cview.first_candidate v ~touched ~dirty ~lo:0 ~hi:k
+  if domains <= 1 then Cview.first_code v ~touched ~dirty ~lo:0 ~hi:k
   else begin
     let tc = Array.copy touched and dc = Array.copy dirty in
-    Parallel.map ~domains
-      (fun (lo, hi) -> Cview.first_code v ~touched:tc ~dirty:dc ~lo ~hi)
-      (shard_bounds k domains)
-    |> List.find_opt (fun p -> p >= 0)
-    |> Option.map (Cview.decode v)
+    let codes =
+      Parallel.map ~domains
+        (fun (lo, hi) -> Cview.first_code v ~touched:tc ~dirty:dc ~lo ~hi)
+        (shard_bounds k domains)
+    in
+    match List.find_opt (fun p -> p >= 0) codes with
+    | Some p -> p
+    | None -> if List.exists (Int.equal (-2)) codes then -2 else -1
   end
 
 (* Re-apply a solved class profile to the live view as undoable block
@@ -90,16 +93,20 @@ let repair ~domains ~max_steps v batch =
   seed v touched dirty batch;
   let seeded_classes = count_set dirty and seeded_links = count_set touched in
   let moves = ref 0 and users_moved = ref 0 in
-  (* [true] when the restricted scan came back clean; [false] when the
-     budget ran out.  Once the frontier saturates (every link touched)
-     the restricted scan IS the full first-defector scan, i.e. exactly
-     Cbr's policy running in place on the warm profile — no rebuild. *)
+  (* [true] when the last restricted scan came back clean and, in the
+     same pass, certified the profile Nash (code -1); [false] when the
+     budget ran out or a defector hides outside the frontier (code -2,
+     a non-equilibrium start).  Once the frontier saturates (every link
+     touched) the restricted scan IS the full first-defector scan, i.e.
+     exactly Cbr's policy running in place on the warm profile — no
+     rebuild. *)
   let rec epochs () =
     if !moves >= max_steps then false
-    else
-      match scan ~domains v touched dirty with
-      | None -> true
-      | Some (cls, src, dst) ->
+    else begin
+      let p = scan ~domains v touched dirty in
+      if p < 0 then p = -1
+      else begin
+        let cls, src, dst = Cview.decode v p in
         let count = Cview.max_improving_block v ~cls ~src ~dst in
         Cview.move v ~cls ~src ~dst ~count;
         touched.(src) <- true;
@@ -108,9 +115,10 @@ let repair ~domains ~max_steps v batch =
         incr moves;
         users_moved := !users_moved + count;
         epochs ()
+      end
+    end
   in
-  let clean = epochs () in
-  let fallback = (not clean) || not (Cview.is_nash v) in
+  let fallback = not (epochs ()) in
   if fallback then begin
     let g = Cview.to_cgame v in
     let oc = Algo.Cbr.converge ~max_steps g (Cview.profile v) in
@@ -147,96 +155,3 @@ let repair_batch ?(domains = 1) ?(max_steps = 1_000_000) v batch =
       Cview.undo v
     done;
     Printexc.raise_with_backtrace e bt
-
-(* Per-user restricted scan, in slot order; departed slots are
-   skipped. *)
-let find_user_candidate v touched dirty n =
-  let m = View.links v in
-  let rec go i =
-    if i >= n then None
-    else if not (View.is_active v i) then go (i + 1)
-    else begin
-      let s = View.link v i in
-      if dirty.(i) || touched.(s) then if View.is_defector v i then Some i else go (i + 1)
-      else begin
-        let cur = View.latency v i in
-        let found = ref false in
-        let l = ref 0 in
-        while (not !found) && !l < m do
-          if
-            touched.(!l) && !l <> s
-            && Rational.compare (View.latency_on_link v i !l) cur < 0
-          then found := true;
-          incr l
-        done;
-        if !found then Some i else go (i + 1)
-      end
-    end
-  in
-  go 0
-
-let repair_view ?(max_steps = 1_000_000) v ~dirty_users ~touched_links =
-  if max_steps <= 0 then invalid_arg "Repair.repair_view: max_steps must be positive";
-  let n = View.users v and m = View.links v in
-  let touched = Array.make m false and dirty = Array.make n false in
-  let touched_count = ref 0 in
-  let touch l =
-    if l < 0 || l >= m then invalid_arg "Repair.repair_view: link out of range";
-    if not touched.(l) then begin
-      touched.(l) <- true;
-      incr touched_count
-    end
-  in
-  List.iter touch touched_links;
-  let seeded_links = !touched_count in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= n then invalid_arg "Repair.repair_view: user out of range";
-      dirty.(i) <- true)
-    dirty_users;
-  let seeded_classes = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty in
-  let moves = ref 0 in
-  let rec epochs restricted =
-    if !moves >= max_steps then false
-    else begin
-      let cand =
-        if restricted then find_user_candidate v touched dirty n
-        else begin
-          let rec full i =
-            if i >= n then None
-            else if View.is_active v i && View.is_defector v i then Some i
-            else full (i + 1)
-          in
-          full 0
-        end
-      in
-      match cand with
-      | None -> true
-      | Some i ->
-        let dst, _ = View.best_response_for v i in
-        let s = View.link v i in
-        View.move v i dst;
-        touch s;
-        touch dst;
-        dirty.(i) <- true;
-        incr moves;
-        epochs restricted
-    end
-  in
-  let clean = epochs true in
-  let fallback = (not clean) || not (View.is_nash v) in
-  if fallback then begin
-    if not (epochs false) then
-      invalid_arg "Repair.repair_view: did not converge within max_steps";
-    if not (View.is_nash v) then
-      invalid_arg "Repair.repair_view: repaired profile is not a Nash equilibrium"
-  end;
-  {
-    moves = !moves;
-    users_moved = !moves;
-    seeded_classes;
-    seeded_links;
-    frontier_links = !touched_count;
-    fallback;
-    nash = true;
-  }

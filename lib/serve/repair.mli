@@ -13,7 +13,7 @@
       the class occupies (their loads changed).  A capacity revision
       dirties its class only — loads are unaffected, so no other
       class's latencies move.
-    - {b Restricted epochs.}  The scan ({!Model.Cview.first_candidate})
+    - {b Restricted epochs.}  The scan ({!Model.Cview.first_code})
       visits occupied (class, link) pairs in the same class-ascending,
       link-ascending order as {!Algo.Cbr}'s first-defector policy, but
       a {e clean} pair — clean class on an untouched link — only checks
@@ -37,14 +37,21 @@
       link touched) the restricted scan degrades to exactly
       {!Algo.Cbr}'s full first-defector scan, i.e. full best-response
       convergence running in place on the warm profile.  When the move
-      budget runs out, or a clean scan fails the final verification
-      (non-equilibrium start), the repair falls back to
-      {!Algo.Cbr.converge} on {!Model.Cview.to_cgame} from the current
-      profile and re-applies the result to the live view through
-      undoable block moves.
-    - {b Verification.}  Every return passes the exact
-      {!Model.Cview.is_nash}; a repair that cannot reach equilibrium
-      raises instead of returning.
+      budget runs out, or the last restricted scan finds a defector
+      outside the frontier (non-equilibrium start), the repair falls
+      back to {!Algo.Cbr.converge} on {!Model.Cview.to_cgame} from the
+      current profile and re-applies the result to the live view
+      through undoable block moves.
+    - {b Verification.}  The scan that ends the restricted epochs is
+      also the exact Nash check ({!Model.Cview.first_code}'s [-1]):
+      the pass that finds no candidate compares every clean source
+      that does not defect into a touched link against the untouched
+      links too, so together with the full checks of dirty and touched
+      pairs it decides each of {!Model.Cview.is_nash}'s inequalities
+      once, on the same unmoved view, in the same exact (or packed
+      exact) arithmetic.  A repair that took the fallback is checked
+      with {!Model.Cview.is_nash} afterwards.  A repair that cannot
+      reach equilibrium raises instead of returning.
     - {b Rollback.}  Whatever raises — a rejected mutation, an
       exhausted fallback, a failed verification — the view is first
       undone back to its depth on entry, so a caller that catches the
@@ -52,10 +59,11 @@
       and history depth) again.
 
     Starting from a genuine equilibrium the restricted scan is sound —
-    a clean scan implies Nash — and the final [is_nash] doubles as the
-    CI-gated verdict.  From an arbitrary (non-Nash) start the scan may
-    terminate early; the verification then routes into the fallback,
-    so the result is an equilibrium regardless. *)
+    a clean scan implies Nash, and the scan's own verdict confirms it.
+    From an arbitrary (non-Nash) start the restricted scan may come
+    back clean while a defector sits outside the frontier; the same
+    pass reports it ([-2]) and routes into the fallback, so the result
+    is an equilibrium regardless. *)
 
 type outcome = {
   moves : int;  (** block moves performed (fallback steps included) *)
@@ -80,13 +88,10 @@ type outcome = {
 val repair_batch :
   ?domains:int -> ?max_steps:int -> Model.Cview.t -> Mutation.t list -> outcome
 
-(** [repair_view ?max_steps v ~dirty_users ~touched_links] is the
-    per-user analogue over a {!Model.View} cursor: the caller applies
-    its structural deltas directly ({!Model.View.add_user} and
-    friends) and states which users and links they perturbed.  Runs the
-    same restricted first-defector scan (departed slots are skipped;
-    [moves = users_moved]); the fallback is the unrestricted scan on
-    the same view.  @raise Invalid_argument on an index out of range,
-    [max_steps <= 0], or a repair that exceeds [max_steps]. *)
-val repair_view :
-  ?max_steps:int -> Model.View.t -> dirty_users:int list -> touched_links:int list -> outcome
+(** [scan ~domains v touched dirty] is {!Model.Cview.first_code} over
+    every class, run on [domains] contiguous class shards when
+    [domains > 1] and merged in shard order: the first candidate code,
+    else [-2] when any shard returned [-2], else [-1].  The result is
+    the serial scan's for every domain count.  Read-only on [v];
+    [touched] and [dirty] are copied before the shards start. *)
+val scan : domains:int -> Model.Cview.t -> bool array -> bool array -> int

@@ -427,6 +427,70 @@ let test_cbr_convergence () =
 
 (* The proportional start is a valid profile and Csymmetric solves
    equal-weight instances end to end. *)
+(* The start profile as [Cbr.proportional_start] first computed it, in
+   rationals: floor(count·S_l/S) with S_l the capacity prefix sum. *)
+let rational_start g =
+  Array.init (Cgame.classes g) (fun c ->
+      let row = Cgame.capacity_row g c in
+      let total = Rational.sum (Array.to_list row) in
+      let count = Rational.of_int (Cgame.count g c) in
+      let cum = ref Rational.zero and prev = ref 0 in
+      Array.map
+        (fun cap ->
+          cum := Rational.add !cum cap;
+          let upto =
+            Bigint.to_int_exn
+              (Rational.num (Rational.floor (Rational.div (Rational.mul count !cum) total)))
+          in
+          let here = upto - !prev in
+          prev := upto;
+          here)
+        row)
+
+(* The integer start against the rational formula: integer and
+   fractional capacities, denominators of several limbs (products of
+   primes near 2^61, 10^40 + 1), counts up to 10^6, and the compressed
+   per-user game kinds. *)
+let test_proportional_start () =
+  let rng = Prng.Rng.create 0x57A7 in
+  let big =
+    [|
+      Bigint.of_string "2305843009213693951";
+      Bigint.mul (Bigint.of_string "2305843009213693951") (Bigint.of_string "2305843009213693921");
+      Bigint.of_string "10000000000000000000000000000000000000001";
+    |]
+  in
+  let kinds = Array.make 3 0 in
+  for trial = 1 to 2_000 do
+    let cg =
+      if trial mod 4 = 0 then
+        fst (Cgame.compress (random_game rng ~kind:trial ~n:(Prng.Rng.int_in rng 2 8) ~m:3))
+      else begin
+        let k = Prng.Rng.int_in rng 1 4 and m = Prng.Rng.int_in rng 2 6 in
+        let kind = trial mod 3 in
+        kinds.(kind) <- kinds.(kind) + 1;
+        let cap () =
+          let num = Bigint.of_int (Prng.Rng.int_in rng 1 1_000_000) in
+          match kind with
+          | 0 -> Rational.make num Bigint.one
+          | 1 -> Rational.make num (Bigint.of_int (Prng.Rng.int_in rng 1 97))
+          | _ ->
+            Rational.make
+              (Bigint.mul num big.(Prng.Rng.int rng 3))
+              (Bigint.add big.(Prng.Rng.int rng 3) (Bigint.of_int (Prng.Rng.int rng 5)))
+        in
+        let counts = Array.init k (fun _ -> Prng.Rng.int_in rng 1 1_000_000) in
+        Cgame.of_capacities ~counts ~weights:(Array.make k Rational.one)
+          (Array.init k (fun _ -> Array.init m (fun _ -> cap ())))
+      end
+    in
+    let got = Algo.Cbr.proportional_start cg in
+    Cgame.validate cg got;
+    if got <> rational_start cg then
+      Alcotest.failf "trial %d: proportional_start differs from the rational formula" trial
+  done;
+  if Array.exists (fun n -> n < 400) kinds then Alcotest.fail "capacity kinds too rare"
+
 let test_csymmetric () =
   let rng = Prng.Rng.create 0x5E77 in
   for trial = 1 to 500 do
@@ -766,10 +830,10 @@ let test_packed_zero_allocation () =
         done
       done
     in
-    pin "first_candidate" (fun () ->
-        ignore (Sys.opaque_identity (Cview.first_candidate nash ~touched ~dirty ~lo:0 ~hi:k)));
     List.iter
       (fun v ->
+        pin "first_code" (fun () ->
+            ignore (Sys.opaque_identity (Cview.first_code v ~touched ~dirty ~lo:0 ~hi:k)));
         pin "is_nash" (fun () -> ignore (Sys.opaque_identity (Cview.is_nash v)));
         pin "is_defector"
           (pairs v (fun cls src -> ignore (Sys.opaque_identity (Cview.is_defector v ~cls ~src))));
@@ -806,9 +870,9 @@ let test_packed_zero_allocation () =
       [ (k, nash); (few, v12) ];
     (* One serving batch of each mutation kind (an arrival, a departure,
        a reweight and a whole-row capacity rescale), repaired on a live
-       packed view and rolled back between runs: 657 words per batch
+       packed view and rolled back between runs: 597 words per batch
        measured, from the revisions' undo records and rationals, the
-       scan's results and the seed sets. *)
+       decoded move targets and the seed sets. *)
     let live = Cview.of_profile cg o.Algo.Cbr.profile in
     ignore (Cview.social_cost1 live);
     let busiest cls =
@@ -958,6 +1022,8 @@ let () =
           Alcotest.test_case "LPT vs Uniform_beliefs" `Slow test_uniform_differential;
           Alcotest.test_case "block best-response convergence" `Slow test_cbr_convergence;
           Alcotest.test_case "Csymmetric end to end" `Quick test_csymmetric;
+          Alcotest.test_case "proportional_start vs the rational formula" `Quick
+            test_proportional_start;
         ] );
       ( "social cost",
         [

@@ -415,7 +415,7 @@ let test_repair_differential () =
   done
 
 (* The per-pair restricted scan [Repair] ran before the class-major
-   [Cview.first_candidate]: the full defector check for a dirty class or
+   [Cview.first_code]: the full defector check for a dirty class or
    a touched source, probes into touched links for any other pair. *)
 let per_pair_candidate v touched dirty lo hi =
   let m = Cview.links v in
@@ -448,18 +448,70 @@ let per_pair_candidate v touched dirty lo hi =
 (* The cost of one class-[cls] user arriving on [l] from elsewhere. *)
 let arrival_cost v cls l = Cview.latency_after_move v ~cls ~src:((l + 1) mod Cview.links v) l
 
-(* [first_candidate] on [lo, hi) must return the per-pair scan's pair
-   with the best response's link as its target. *)
+(* Does some user of a class in [lo, hi) defect?  The per-pair check,
+   independent of the class-major scan. *)
+let any_defector v lo hi =
+  let found = ref false in
+  for cls = lo to hi - 1 do
+    for src = 0 to Cview.links v - 1 do
+      if Cview.assigned v cls src > 0 && Cview.is_defector v ~cls ~src then found := true
+    done
+  done;
+  !found
+
+(* Verdicts seen, as [| packed -1; packed -2; exact -1; exact -2 |]. *)
+let verdicts = Array.make 4 0
+
+(* The shard merge: the first candidate, else -2 if any part hid a
+   defector, else -1. *)
+let merge a b = if a >= 0 then a else if b >= 0 then b else if a = -2 || b = -2 then -2 else -1
+
+(* [first_code] on [lo, hi) with no candidate must be -1 exactly when no
+   user of those classes defects, and -2 exactly when one does; split
+   at any point, the two halves must merge to the whole. *)
+let check_verdict trial v touched dirty lo hi code ~mid =
+  if code < 0 then begin
+    let expect = if any_defector v lo hi then -2 else -1 in
+    if code <> expect then
+      Alcotest.failf "trial %d: first_code returned %d on [%d, %d), the Nash oracle says %d" trial
+        code lo hi expect;
+    let slot = (if Cview.packed v then 0 else 2) + if code = -2 then 1 else 0 in
+    verdicts.(slot) <- verdicts.(slot) + 1
+  end;
+  let halves =
+    merge
+      (Cview.first_code v ~touched ~dirty ~lo ~hi:mid)
+      (Cview.first_code v ~touched ~dirty ~lo:mid ~hi)
+  in
+  if halves <> code then
+    Alcotest.failf "trial %d: [%d, %d) split at %d merges to %d, not %d" trial lo hi mid halves code
+
+(* [first_code] on [lo, hi) must decode to the per-pair scan's pair
+   with the best response's link as its target, or give the matching
+   verdict. *)
 let check_candidate trial v touched dirty lo hi =
-  let got = Cview.first_candidate v ~touched ~dirty ~lo ~hi in
+  let code = Cview.first_code v ~touched ~dirty ~lo ~hi in
+  let got = if code < 0 then None else Some (Cview.decode v code) in
   if Option.map (fun (c, s, _) -> (c, s)) got <> per_pair_candidate v touched dirty lo hi then
-    Alcotest.failf "trial %d: first_candidate disagrees with the per-pair scan on [%d, %d)" trial lo
-      hi;
+    Alcotest.failf "trial %d: first_code disagrees with the per-pair scan on [%d, %d)" trial lo hi;
   (match got with
    | Some (cls, src, dst) when dst <> fst (Cview.best_response_for v ~cls ~src) ->
-     Alcotest.failf "trial %d: first_candidate's target %d differs from the best response" trial dst
+     Alcotest.failf "trial %d: first_code's target %d differs from the best response" trial dst
    | _ -> ());
+  check_verdict trial v touched dirty lo hi code ~mid:((lo + hi) / 2);
   got
+
+(* The repair's sharded scan at domains {1, 2, 5} returns the serial
+   code over every class. *)
+let check_shards trial v touched dirty =
+  let serial = Cview.first_code v ~touched ~dirty ~lo:0 ~hi:(Cview.classes v) in
+  List.iter
+    (fun domains ->
+      let got = Repair.scan ~domains v touched dirty in
+      if got <> serial then
+        Alcotest.failf "trial %d: Repair.scan at %d domains returned %d, the serial scan %d" trial
+          domains got serial)
+    [ 1; 2; 5 ]
 
 (* Random views, mostly off equilibrium, with random touched and dirty
    sets and class ranges: the class-major scan must return the per-pair
@@ -470,9 +522,12 @@ let check_candidate trial v touched dirty lo hi =
    loop counts them to prove they ran: a wide or touched source whose
    own link is the unique cheapest to arrive on (the pass's minimum is
    then the source itself), and a best alternative that exactly ties
-   the current latency (not an improvement). *)
+   the current latency (not an improvement).  A scan with no candidate
+   must give the per-pair Nash verdict (-1 or -2), and the loop counts
+   both verdicts on both lanes. *)
 let test_first_candidate_differential () =
   let rng = Prng.Rng.create 0xF1C4 in
+  Array.fill verdicts 0 4 0;
   let unique_best = ref 0 and tie_current = ref 0 and packed = ref 0 in
   let chained = [| 0; 0 |] in
   for trial = 1 to 5_000 do
@@ -516,6 +571,7 @@ let test_first_candidate_differential () =
     let lo = Prng.Rng.int rng (k + 1) in
     let hi = lo + Prng.Rng.int rng (k - lo + 1) in
     ignore (check_candidate trial v touched dirty lo hi);
+    if trial mod 5 = 1 then check_shards trial v touched dirty;
     if Cview.packed v then
       for c = lo to hi - 1 do
         for s = 0 to m - 1 do
@@ -545,7 +601,9 @@ let test_first_candidate_differential () =
       let moves = ref 0 and running = ref true in
       while !running && !moves < 8 do
         match check_candidate trial v touched dirty 0 k with
-        | None -> running := false
+        | None ->
+          if trial mod 5 = 1 then check_shards trial v touched dirty;
+          running := false
         | Some (cls, src, dst) ->
           let lane = if Cview.packed v then 0 else 1 in
           chained.(lane) <- chained.(lane) + 1;
@@ -567,7 +625,10 @@ let test_first_candidate_differential () =
     Alcotest.failf "corner cases too rare: %d packed views, %d unique-best sources, %d ties" !packed
       !unique_best !tie_current;
   if chained.(0) < 10_000 || chained.(1) < 3_000 then
-    Alcotest.failf "chains too short: %d packed, %d exact moves" chained.(0) chained.(1)
+    Alcotest.failf "chains too short: %d packed, %d exact moves" chained.(0) chained.(1);
+  if verdicts.(0) < 1_000 || verdicts.(1) < 400 || verdicts.(2) < 500 || verdicts.(3) < 100 then
+    Alcotest.failf "verdicts too rare: packed %d clean, %d hidden; exact %d clean, %d hidden"
+      verdicts.(0) verdicts.(1) verdicts.(2) verdicts.(3)
 
 (* Parallel repair scans must pick the same first defector as the
    serial scan: profiles after every batch are bit-identical across
@@ -610,54 +671,62 @@ let test_repair_domains_identical () =
       done)
     [ (Rational.one, true); (tiny, false) ]
 
-(* Per-user repair over a View cursor: expand a class equilibrium,
-   mutate at the user level, repair, and check the exact predicate. *)
-let test_repair_view () =
-  let rng = Prng.Rng.create 31337 in
-  for trial = 1 to 300 do
-    let cg = random_cgame rng in
-    let o = Algo.Cbr.converge cg (Algo.Cbr.proportional_start cg) in
-    if not o.Algo.Cbr.converged then Alcotest.failf "trial %d: seed solve diverged" trial;
-    let g = Cgame.expand cg in
-    let x = Cgame.expand_profile cg o.Algo.Cbr.profile in
-    let v = View.of_profile g x in
-    let m = View.links v in
-    let dirty = ref [] and touched = ref [] in
-    let ops = 1 + Prng.Rng.int rng 3 in
-    for _ = 1 to ops do
-      match Prng.Rng.int rng 3 with
-      | 0 ->
-        let link = Prng.Rng.int rng m in
-        let i =
-          View.add_user v
-            ~weight:(q (1 + Prng.Rng.int rng 4) (1 + Prng.Rng.int rng 2))
-            ~capacities:(Array.init m (fun _ -> q (1 + Prng.Rng.int rng 6) 1))
-            ~link ()
-        in
-        dirty := i :: !dirty;
-        touched := link :: !touched
-      | 1 ->
-        if View.active_users v > 1 then begin
-          let i = ref (Prng.Rng.int rng (View.users v)) in
-          while not (View.is_active v !i) do
-            i := (!i + 1) mod View.users v
-          done;
-          touched := View.link v !i :: !touched;
-          View.remove_user v !i
-        end
-      | _ ->
-        let i = ref (Prng.Rng.int rng (View.users v)) in
-        while not (View.is_active v !i) do
-          i := (!i + 1) mod View.users v
-        done;
-        View.revise_capacity v ~user:!i ~link:(Prng.Rng.int rng m)
-          (q (1 + Prng.Rng.int rng 6) (1 + Prng.Rng.int rng 2));
-        dirty := !i :: !dirty
-    done;
-    let r = Repair.repair_view v ~dirty_users:!dirty ~touched_links:!touched in
-    if not r.Repair.nash then Alcotest.failf "trial %d: repair_view returned nash=false" trial;
-    if not (View.is_nash v) then Alcotest.failf "trial %d: repaired View is not Nash" trial
-  done
+(* Hand-built frontiers that do not cover a defector, on both lanes
+   (the exact twin scales every weight by 10^-20).  Three classes of
+   weight 1 on three links, touched = {2}, no class dirty:
+   - class 0 (2 users on link 0, cost 4) defects only to link 1, at
+     cost 2, its link 2 costing 100: hidden;
+   - class 1 (1 user on link 1, cost 1) has no cheaper link: Nash;
+   - class 2 (2 users on link 0) can move to the touched link 2 at
+     cost 1: the candidate, found past class 0's hidden defector. *)
+let test_under_seeded_frontier () =
+  let caps =
+    [|
+      [| q 1 1; q 1 1; q 1 100 |]; [| q 1 100; q 1 1; q 1 100 |]; [| q 1 1; q 1 100; q 1 1 |];
+    |]
+  in
+  let x = [| [| 2; 0; 0 |]; [| 0; 1; 0 |]; [| 2; 0; 0 |] |] in
+  let tiny = Rational.make Bigint.one (Bigint.of_string "100000000000000000000") in
+  List.iter
+    (fun (w, packed) ->
+      let g = Cgame.of_capacities ~counts:[| 2; 1; 2 |] ~weights:(Array.make 3 w) caps in
+      let v = Cview.of_profile g x in
+      let lane = if packed then "packed" else "exact" in
+      Alcotest.(check bool) (lane ^ ": lane") packed (Cview.packed v);
+      Alcotest.(check bool) (lane ^ ": start is not an equilibrium") false (Cview.is_nash v);
+      let code ?(lo = 0) ?(hi = 3) touched dirty = Cview.first_code v ~touched ~dirty ~lo ~hi in
+      let clean = [| false; false; false |] and only2 = [| false; false; true |] in
+      let check what expect touched dirty =
+        List.iter
+          (fun domains ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s at %d domains" lane what domains)
+              expect
+              (Repair.scan ~domains v touched dirty))
+          [ 1; 2; 5 ]
+      in
+      Alcotest.(check int) (lane ^ ": class 0 alone hides its defector") (-2) (code ~hi:1 only2 clean);
+      Alcotest.(check int) (lane ^ ": class 1 alone is Nash") (-1) (code ~lo:1 ~hi:2 only2 clean);
+      let c = code only2 clean in
+      Alcotest.(check (triple int int int)) (lane ^ ": class 2's candidate") (2, 0, 2) (Cview.decode v c);
+      check "the candidate wins over the hidden defector" c only2 clean;
+      check "nothing touched hides both defectors" (-2) clean clean;
+      let c0 = code only2 [| true; false; false |] in
+      Alcotest.(check bool) (lane ^ ": a dirty class 0 is a candidate") true (c0 >= 0);
+      Alcotest.(check (triple int int int)) (lane ^ ": class 0's move") (0, 0, 1) (Cview.decode v c0);
+      (* An empty batch seeds nothing: the restricted scan comes back
+         clean, its verdict routes into the fallback, and the repair
+         still ends at an equilibrium. *)
+      List.iter
+        (fun domains ->
+          let v = Cview.of_profile g x in
+          let r = Repair.repair_batch ~domains v [] in
+          Alcotest.(check bool) (Printf.sprintf "%s: fallback at %d domains" lane domains) true
+            r.Repair.fallback;
+          Alcotest.(check bool) (Printf.sprintf "%s: Nash at %d domains" lane domains) true
+            (Cview.is_nash v))
+        [ 1; 2; 5 ])
+    [ (Rational.one, true); (tiny, false) ]
 
 let test_repair_argument_errors () =
   let g =
@@ -668,11 +737,7 @@ let test_repair_argument_errors () =
   raises_invalid "Repair.repair_batch: domains must be positive" (fun () ->
       Repair.repair_batch ~domains:0 v []);
   raises_invalid "Repair.repair_batch: max_steps must be positive" (fun () ->
-      Repair.repair_batch ~max_steps:0 v []);
-  raises_invalid "Repair.repair_view: max_steps must be positive" (fun () ->
-      let pg = Cgame.expand g in
-      Repair.repair_view ~max_steps:0 (View.of_profile pg (Array.make 4 0)) ~dirty_users:[]
-        ~touched_links:[])
+      Repair.repair_batch ~max_steps:0 v [])
 
 (* The view's observable state: profile, loads, history depth. *)
 let snapshot v = (Cview.profile v, Cview.loads v, Cview.depth v)
@@ -797,11 +862,12 @@ let () =
           Alcotest.test_case "repair vs full re-solve" `Slow test_repair_differential;
           Alcotest.test_case "parallel scans are bit-identical" `Quick
             test_repair_domains_identical;
-          Alcotest.test_case "per-user repair_view" `Slow test_repair_view;
           Alcotest.test_case "argument errors" `Quick test_repair_argument_errors;
           Alcotest.test_case "budget exhaustion raises" `Quick test_repair_budget_exhaustion;
           Alcotest.test_case "rejected mutation rolls back" `Quick test_repair_rejected_mid_batch;
           Alcotest.test_case "first_candidate vs per-pair scan" `Quick
             test_first_candidate_differential;
+          Alcotest.test_case "under-seeded frontier reports its defector" `Quick
+            test_under_seeded_frontier;
         ] );
     ]
