@@ -6,27 +6,29 @@ let guard name limit g =
   | Some c when c <= limit -> ()
   | _ -> invalid_arg (Printf.sprintf "Enumerate.%s: state space exceeds the limit" name)
 
-(* The exhaustive scans ride [View.sweep]: the odometer applies O(1)
-   load deltas between consecutive profiles, so checking a profile is
-   the O(n·m) [View.is_nash] pass instead of the seed's O(n²·m)
-   recompute-per-user. *)
+(* The exhaustive scans ride [View.sweep_nash]: the odometer runs over
+   every user but the last, applying O(1) load deltas between
+   consecutive prefixes, and each prefix is completed only with the
+   last user's best responses — the only completions that can be
+   equilibria.  Each visited completion is checked for a defector among
+   the other users in O(n·m), every inequality decided exactly. *)
 let pure_nash ?(limit = 10_000_000) g =
   guard "pure_nash" limit g;
   let acc = ref [] in
-  View.sweep g (fun v -> if View.is_nash v then acc := View.profile v :: !acc);
+  View.sweep_nash g (fun v -> acc := View.profile v :: !acc);
   List.rev !acc
 
 let count ?(limit = 10_000_000) g =
   guard "count" limit g;
   let acc = ref 0 in
-  View.sweep g (fun v -> if View.is_nash v then incr acc);
+  View.sweep_nash g (fun _ -> incr acc);
   !acc
 
 let exists ?(limit = 10_000_000) g =
   guard "exists" limit g;
   let exception Found in
   try
-    View.sweep g (fun v -> if View.is_nash v then raise Found);
+    View.sweep_nash g (fun _ -> raise Found);
     false
   with Found -> true
 

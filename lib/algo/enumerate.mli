@@ -3,8 +3,11 @@ open Model
 (** Exhaustive enumeration of pure Nash equilibria.
 
     The ground truth for the existence experiments (E4, E5) and the
-    worst-case-equilibrium experiments (E10–E12): exact search over all
-    [m^n] pure profiles. *)
+    worst-case-equilibrium experiments (E10–E12): exact search over the
+    [m^n] pure profiles through {!Model.View.sweep_nash}, which
+    completes each of the [m^(n-1)] prefixes of the other users only
+    with the last user's best responses and checks those completions
+    exactly.  Results come in odometer order (last user fastest). *)
 
 (** [pure_nash g] lists all pure Nash equilibria of [g].
     @raise Invalid_argument when [m^n] exceeds [limit]

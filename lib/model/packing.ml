@@ -111,6 +111,34 @@ let costs pk =
     if bound = max_int then None else Some { k; den = mul_nn pk.scale d }
   with Overflow -> None
 
+(* The two social-cost kernels over scaled int loads, shared by
+   [View]'s packed lane and [Pure]'s view-free scoring.  SC_1 is one
+   native sum over the cost table (bounded by [costs]); SC_2 tracks the
+   largest latency (L·cd)/(scale·cn) as the int pair (L·cd, cn) and
+   compares by cross products, within the [admits] bound. *)
+let sum_latency c ~m ~loads prof =
+  let acc = ref 0 in
+  for i = 0 to Array.length prof - 1 do
+    let l = prof.(i) in
+    acc := !acc + (loads.(l) * c.k.((i * m) + l))
+  done;
+  Rational.make (Bigint.of_int !acc) (Bigint.of_int c.den)
+
+let max_latency ?active ~scale ~cn ~cd ~m ~loads ~users prof =
+  let bnum = ref 0 and bcn = ref 1 in
+  for i = 0 to users - 1 do
+    if match active with None -> true | Some a -> a.(i) then begin
+      let l = prof.(i) in
+      let idx = (i * m) + l in
+      let a = loads.(l) * cd.(idx) in
+      if a * !bcn > !bnum * cn.(idx) then begin
+        bnum := a;
+        bcn := cn.(idx)
+      end
+    end
+  done;
+  Rational.make (Bigint.of_int !bnum) (Bigint.mul (Bigint.of_int scale) (Bigint.of_int !bcn))
+
 (* [rescale pk initial] re-derives the per-view scale when a view
    carries initial link traffic: the scale grows to cover the initial
    denominators and the scaled weights grow with it.  Returns

@@ -42,6 +42,28 @@ type costs = { k : int array; den : int }
     [den], is native. *)
 val costs : t -> costs option
 
+(** [sum_latency c ~m ~loads prof] is SC_1 = [Σ_i L·k.(i*m + l) / den]
+    over every user [i] of [prof] on its link [l = prof.(i)] at scaled
+    load [L = loads.(l)], as one exact rational.  Native and exact when
+    every load is at most the packing's [wsum] (the {!costs} bound). *)
+val sum_latency : costs -> m:int -> loads:int array -> int array -> Numeric.Rational.t
+
+(** [max_latency ?active ~scale ~cn ~cd ~m ~loads ~users prof] is
+    SC_2 = [max_i (L·cd)/(scale·cn)] over users [0 .. users-1] (those
+    with [active.(i)] when given), compared by native cross products
+    and built as one exact rational; [0] when no user counts.  Exact
+    under the {!admits} bound at a total covering every load. *)
+val max_latency :
+  ?active:bool array ->
+  scale:int ->
+  cn:int array ->
+  cd:int array ->
+  m:int ->
+  loads:int array ->
+  users:int ->
+  int array ->
+  Numeric.Rational.t
+
 exception Overflow
 
 (** [mul_nn a b] / [add_nn a b] are [a·b] / [a + b] on positive native

@@ -65,11 +65,12 @@ let latency_on_link g ?initial p i l =
   let load = if p.(i) = l then biased g i base else Rational.add base (Game.weight g i) in
   Rational.div load (Game.capacity g i l)
 
-(* Everything below delegates to a transient [View]: materialise the
-   loads once, then answer each query against O(1) lookups.  This keeps
-   the array-based API while dropping e.g. [is_nash] from O(n²·m) to
-   O(n·m); callers issuing many queries against one evolving profile
-   should hold a [View.t] themselves instead of re-materialising here. *)
+(* Everything below (but the packed scoring path) delegates to a
+   transient [View]: materialise the loads once, then answer each query
+   against O(1) lookups.  This keeps the array-based API while dropping
+   e.g. [is_nash] from O(n²·m) to O(n·m); callers issuing many queries
+   against one evolving profile should hold a [View.t] themselves
+   instead of re-materialising here. *)
 
 let best_response g ?initial p i = View.best_response_for (View.of_profile g ?initial p) i
 
@@ -79,9 +80,36 @@ let is_nash g ?initial p = View.is_nash (View.of_profile g ?initial p)
 
 let defectors g ?initial p = View.defectors (View.of_profile g ?initial p)
 
-let social_cost1 g ?initial p = View.social_cost1 (View.of_profile g ?initial p)
+(* Scoring needs no cursor: on a packed game without initial traffic
+   (the [base_ok] bound) the profile's loads go into a local int array
+   and one [Packing] kernel — the same one the view's packed lane
+   calls — returns the canonical rational.  An invalid profile yields
+   [None] here, so the view path raises its usual error. *)
+let base_loads g ?initial p =
+  match (initial, Game.packed_tables g) with
+  | None, Some pk when pk.Packing.base_ok && Array.length p = Game.users g ->
+    let m = Game.links g and n = Array.length p in
+    let loads = Array.make m 0 in
+    let i = ref 0 in
+    while !i < n && p.(!i) >= 0 && p.(!i) < m do
+      let l = p.(!i) in
+      loads.(l) <- loads.(l) + pk.Packing.pw.(!i);
+      incr i
+    done;
+    if !i = n then Some (pk, loads) else None
+  | _ -> None
 
-let social_cost2 g ?initial p = View.social_cost2 (View.of_profile g ?initial p)
+let social_cost1 g ?initial p =
+  match (base_loads g ?initial p, Game.cost_tables g) with
+  | Some (_, loads), Some c -> Packing.sum_latency c ~m:(Game.links g) ~loads p
+  | _ -> View.social_cost1 (View.of_profile g ?initial p)
+
+let social_cost2 g ?initial p =
+  match base_loads g ?initial p with
+  | Some (pk, loads) ->
+    Packing.max_latency ~scale:pk.Packing.scale ~cn:pk.Packing.cn ~cd:pk.Packing.cd
+      ~m:(Game.links g) ~loads ~users:(Array.length p) p
+  | None -> View.social_cost2 (View.of_profile g ?initial p)
 
 let equal (a : profile) b = a = b
 

@@ -7,9 +7,10 @@
     (Definition 3.1, Algorithm A_uniform).
 
     The multi-scan predicates below ({!best_response},
-    {!improving_moves}, {!is_nash}, {!defectors}, {!social_cost1},
-    {!social_cost2}) delegate to a transient {!View} that materialises
-    the loads once per call.  They are convenient for one-shot queries;
+    {!improving_moves}, {!is_nash}, {!defectors}) delegate to a
+    transient {!View} that materialises the loads once per call; the
+    social costs build no view on a packed game without initial
+    traffic.  They are convenient for one-shot queries;
     code that evaluates many single-user deviations of the same profile
     — dynamics, sweeps, graph traversals — should hold a {!View.t}
     directly and use its O(1) [move]/[undo] instead. *)
@@ -73,16 +74,20 @@ val is_nash : Game.t -> ?initial:Numeric.Rational.t array -> profile -> bool
     {!View.first_and_last_defector} for just the ends). *)
 val defectors : Game.t -> ?initial:Numeric.Rational.t array -> profile -> int list
 
-(** [social_cost1 g ?initial p] is [SC1 = Σ_i λ_{i,b_i}(σ)], via
-    {!View.social_cost1} on a transient view: without [initial], a game
-    with {!Game.cost_tables} is scored in one native O(n) sum and one
-    rational, any other game by the per-user exact sum. *)
+(** [social_cost1 g ?initial p] is [SC1 = Σ_i λ_{i,b_i}(σ)].  Without
+    [initial], a game with {!Game.cost_tables} whose packing holds the
+    base bound is scored with no view: its scaled loads go into a local
+    int array and {!Packing.sum_latency} forms one native O(n) sum and
+    one rational.  Any other game goes through {!View.social_cost1} on
+    a transient view. *)
 val social_cost1 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Numeric.Rational.t
 
-(** [social_cost2 g ?initial p] is [SC2 = max_i λ_{i,b_i}(σ)], via
-    {!View.social_cost2}: a native cross-multiplied maximum and one
-    rational whenever the view packs, the per-user exact maximum
-    otherwise. *)
+(** [social_cost2 g ?initial p] is [SC2 = max_i λ_{i,b_i}(σ)]: without
+    [initial] on a game whose packing holds the base bound,
+    {!Packing.max_latency} over local scaled loads (no view); otherwise
+    {!View.social_cost2} on a transient view — a native
+    cross-multiplied maximum whenever the view packs, the per-user
+    exact maximum otherwise. *)
 val social_cost2 : Game.t -> ?initial:Numeric.Rational.t array -> profile -> Numeric.Rational.t
 
 val equal : profile -> profile -> bool

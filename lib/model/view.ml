@@ -618,21 +618,26 @@ let improving_moves v i =
 (* Plain loops rather than local recursive functions, which would
    allocate a closure per call: [is_nash] runs once per profile in
    exhaustive sweeps and [is_defector] once per user in each. *)
-let is_defector v i =
-  let m = links v and l = ref 0 in
-  (match v.lane with
-   | Exact loads ->
-     let current = latency v i and w = u_weight v i in
-     while !l < m && not (exact_improves v loads i current w !l) do
-       incr l
-     done
-   | Packed pk ->
-     let base = i * m and cur = v.prof.(i) and w = pk.ppw.(i) in
-     let cnum = pk.piload.(cur) * pk.pcd.(base + cur) and ccn = pk.pcn.(base + cur) in
-     while !l < m && not (packed_improves pk base cur w cnum ccn !l) do
-       incr l
-     done);
+let[@inline] packed_defector pk prof m i =
+  let base = i * m and cur = prof.(i) and w = pk.ppw.(i) in
+  let cnum = pk.piload.(cur) * pk.pcd.(base + cur) and ccn = pk.pcn.(base + cur) in
+  let l = ref 0 in
+  while !l < m && not (packed_improves pk base cur w cnum ccn !l) do
+    incr l
+  done;
   !l < m
+
+let is_defector v i =
+  let m = links v in
+  match v.lane with
+  | Exact loads ->
+    let current = latency v i and w = u_weight v i in
+    let l = ref 0 in
+    while !l < m && not (exact_improves v loads i current w !l) do
+      incr l
+    done;
+    !l < m
+  | Packed pk -> packed_defector pk v.prof m i
 
 let is_nash v =
   let n = users v and i = ref 0 in
@@ -662,13 +667,7 @@ let first_and_last_defector v =
 let social_cost1 v =
   match (v.lane, v.ext, Game.packed_tables v.game, Game.cost_tables v.game) with
   | Packed pk, None, Some gp, Some c when pk.ptotal = gp.Packing.wsum ->
-    let m = Array.length pk.piload and k = c.Packing.k in
-    let acc = ref 0 in
-    for i = 0 to Array.length v.prof - 1 do
-      let l = v.prof.(i) in
-      acc := !acc + (pk.piload.(l) * k.((i * m) + l))
-    done;
-    Rational.make (Bigint.of_int !acc) (Bigint.of_int c.Packing.den)
+    Packing.sum_latency c ~m:(Array.length pk.piload) ~loads:pk.piload v.prof
   | _ ->
     let acc = ref Rational.zero in
     for i = 0 to users v - 1 do
@@ -676,9 +675,8 @@ let social_cost1 v =
     done;
     !acc
 
-(* On the packed lane the largest latency (L·cd)/(scale·cn) is tracked
-   as the int pair (L·cd, cn) and compared by cross products, as in
-   [best_response_for]; every product stays within the packed bound. *)
+(* On the packed lane the maximum is [Packing.max_latency]'s native
+   cross-product scan; every product stays within the packed bound. *)
 let social_cost2 v =
   match v.lane with
   | Exact _ ->
@@ -688,21 +686,9 @@ let social_cost2 v =
     done;
     !acc
   | Packed pk ->
-    let m = Array.length pk.piload in
-    let bnum = ref 0 and bcn = ref 1 in
-    for i = 0 to users v - 1 do
-      if is_active v i then begin
-        let l = v.prof.(i) in
-        let idx = (i * m) + l in
-        let a = pk.piload.(l) * pk.pcd.(idx) in
-        if a * !bcn > !bnum * pk.pcn.(idx) then begin
-          bnum := a;
-          bcn := pk.pcn.(idx)
-        end
-      end
-    done;
-    Rational.make (Bigint.of_int !bnum)
-      (Bigint.mul (Bigint.of_int pk.pscale) (Bigint.of_int !bcn))
+    let active = Option.map (fun e -> e.active) v.ext in
+    Packing.max_latency ?active ~scale:pk.pscale ~cn:pk.pcn ~cd:pk.pcd
+      ~m:(Array.length pk.piload) ~loads:pk.piload ~users:(users v) v.prof
 
 (* Re-materialise a per-user game over the active slots, in slot
    order, together with the slot index of each new user.  Slots whose
@@ -747,27 +733,26 @@ let capacity = u_cap
 let contribution = u_contrib
 let uncertainty = u_uncertainty
 
-(* The odometer of [Social.iter_profiles], expressed as moves: a
-   non-carrying tick is one shift, a carry resets a suffix — 1 + 1/m
-   + 1/m² + … ≤ m/(m-1) shifts amortised per profile.  Returns false
-   when the odometer wraps past the last profile. *)
-let tick v =
+(* The odometer of [Social.iter_profiles] over users [0 .. k-1],
+   expressed as moves: a non-carrying tick is one shift, a carry resets
+   a suffix — 1 + 1/m + 1/m² + … ≤ m/(m-1) shifts amortised per
+   profile.  Users from [k] on are left where they are.  Returns false
+   when the odometer wraps past the last prefix.  A plain loop, so a
+   tick allocates nothing. *)
+let tick_prefix v k =
   let m = links v in
-  let rec next i =
-    if i < 0 then false
-    else begin
-      let l = v.prof.(i) in
-      if l + 1 < m then begin
-        shift v i (l + 1);
-        true
-      end
-      else begin
-        shift v i 0;
-        next (i - 1)
-      end
-    end
-  in
-  next (users v - 1)
+  let i = ref (k - 1) in
+  while !i >= 0 && v.prof.(!i) + 1 >= m do
+    shift v !i 0;
+    decr i
+  done;
+  !i >= 0
+  && begin
+    shift v !i (v.prof.(!i) + 1);
+    true
+  end
+
+let tick v = tick_prefix v (users v)
 
 let sweep g ?initial f =
   let v = of_profile g ?initial (Array.make (Game.users g) 0) in
@@ -775,6 +760,77 @@ let sweep g ?initial f =
   while !continue do
     f v;
     continue := tick v
+  done
+
+(* Best-response pruning.  A pure Nash profile has its last user [z] at
+   a best response to the others, and z's deviation latency on link l,
+   (prefix load_l + w_z)/c_{z,l}, does not depend on where z currently
+   sits.  So the odometer runs over users [0 .. z-1] only; at each
+   prefix one O(m) pass finds z's smallest latency, and only the links
+   that attain it (ties included, decided exactly) are visited, in
+   increasing order — the order [sweep] would reach them.  At each one,
+   users [0 .. z-1] are scanned for a defector; z cannot be one.
+
+   [packed_completions] is the native lane: latencies (t·cd)/(scale·cn)
+   compare as the pair (t·cd, cn) by cross products, equality included,
+   all within the [Packing.admits] bound. *)
+let[@inline] deviation_num pk prof z base l =
+  (pk.piload.(l) + if prof.(z) = l then 0 else pk.ppw.(z)) * pk.pcd.(base + l)
+
+let packed_completions v pk z f =
+  let m = Array.length pk.piload in
+  let base = z * m in
+  let bnum = ref (deviation_num pk v.prof z base 0) and bcn = ref pk.pcn.(base) in
+  for l = 1 to m - 1 do
+    let a = deviation_num pk v.prof z base l in
+    if a * !bcn < !bnum * pk.pcn.(base + l) then begin
+      bnum := a;
+      bcn := pk.pcn.(base + l)
+    end
+  done;
+  for l = 0 to m - 1 do
+    if deviation_num pk v.prof z base l * !bcn = !bnum * pk.pcn.(base + l) then begin
+      shift v z l;
+      let i = ref 0 in
+      while !i < z && not (packed_defector pk v.prof m !i) do
+        incr i
+      done;
+      if !i >= z then f v
+    end
+  done
+
+(* The exact lane: the same pruning through [latency_on_link] and
+   [is_defector]; [lat] is scratch space of length m. *)
+let exact_completions v lat z f =
+  let m = Array.length lat in
+  for l = 0 to m - 1 do
+    lat.(l) <- latency_on_link v z l
+  done;
+  let best = Array.fold_left Rational.min lat.(0) lat in
+  for l = 0 to m - 1 do
+    if Rational.compare lat.(l) best = 0 then begin
+      shift v z l;
+      let i = ref 0 in
+      while !i < z && not (is_defector v !i) do
+        incr i
+      done;
+      if !i >= z then f v
+    end
+  done
+
+let sweep_nash g f =
+  let v = of_profile g (Array.make (Game.users g) 0) in
+  let z = users v - 1 in
+  let completions =
+    match v.lane with
+    | Packed pk -> fun () -> packed_completions v pk z f
+    | Exact _ ->
+      let lat = Array.make (links v) Rational.zero in
+      fun () -> exact_completions v lat z f
+  in
+  completions ();
+  while tick_prefix v z do
+    completions ()
   done
 
 (* [m^n] as a native int, or None on overflow (in which case a sweep

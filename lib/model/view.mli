@@ -221,6 +221,19 @@ val social_cost2 : t -> Numeric.Rational.t
     move is undone before it returns; do not retain the view. *)
 val sweep : Game.t -> ?initial:Numeric.Rational.t array -> (t -> unit) -> unit
 
+(** [sweep_nash g f] calls [f] on a view positioned at every pure Nash
+    equilibrium of [g], in {!sweep} order — exactly the profiles where
+    [sweep] would find {!is_nash}, without visiting the others.  The
+    odometer runs over users [0 .. n-2]; at each prefix one O(m) pass
+    finds the last user's best-response links (ties included, decided
+    exactly), and only those completions are checked for a defector
+    among users [0 .. n-2].  On the packed lane the sweep allocates
+    nothing per prefix: its view and one closure, then only what [f]
+    allocates.  [f] may {!move}/{!undo} as
+    long as it leaves the view as it found it; do not retain the
+    view. *)
+val sweep_nash : Game.t -> (t -> unit) -> unit
+
 (** [fold ?domains ?initial g ~init ~f ~combine] folds [f] over every
     pure profile in {!sweep} order and reduces with [combine].  With
     [domains <= 1] this is exactly the serial

@@ -241,6 +241,114 @@ let test_fmne_requires_two_users () =
     (Invalid_argument "Fully_mixed: at least two users required (the closed form divides by n-1)")
     (fun () -> ignore (Algo.Fully_mixed.candidate g))
 
+(* The closed form as first written — Lemma 4.2 through the shares
+   d^ℓ_i = c^ℓ_i/S_i, with S_i re-summed inside every share — kept as
+   the oracle for the one-pass Fully_mixed. *)
+module Per_share = struct
+  let capacity_sum g i = Rational.sum (List.init (Game.links g) (Game.capacity g i))
+
+  let lambda g i =
+    Rational.div
+      (Rational.add
+         (Rational.mul (qi (Game.links g - 1)) (Game.weight g i))
+         (Game.total_traffic g))
+      (capacity_sum g i)
+
+  let share g i l = Rational.div (Game.capacity g i l) (capacity_sum g i)
+
+  let traffic g l =
+    let n = Game.users g and m = Game.links g and t = Game.total_traffic g in
+    let weighted = Rational.sum (List.init n (fun i -> Rational.mul (share g i l) (Game.weight g i))) in
+    let shares = Rational.sum (List.init n (fun i -> share g i l)) in
+    Rational.div
+      (Rational.sub (Rational.add (Rational.mul (qi (m - 1)) weighted) (Rational.mul t shares)) t)
+      (qi (n - 1))
+
+  let candidate g =
+    Array.init (Game.users g) (fun i ->
+        let w = Game.weight g i in
+        Array.init (Game.links g) (fun l ->
+            Rational.div
+              (Rational.sub (Rational.add (traffic g l) w)
+                 (Rational.mul (Game.capacity g i l) (lambda g i)))
+              w))
+
+  let in_open_unit q = Rational.sign q > 0 && Rational.compare q Rational.one < 0
+end
+
+let test_fmne_matches_per_share_oracle () =
+  let rng = Prng.Rng.create 0xF3E1 in
+  let same a b = Rational.equal a b && Rational.to_string a = Rational.to_string b in
+  let found = ref 0 and last_only = ref 0 and two_users = ref 0 and kp = ref 0 in
+  for k = 1 to 2_000 do
+    let n = if k mod 4 = 0 then 2 else Prng.Rng.int_in rng 2 6 in
+    let m = Prng.Rng.int_in rng 2 4 in
+    let beliefs =
+      match Prng.Rng.int rng 3 with
+      | 0 -> Experiments.Generators.Shared_point { cap_bound = 6 }
+      | 1 -> Experiments.Generators.Private_point { cap_bound = 4 }
+      | _ -> Experiments.Generators.Shared_space { states = 3; cap_bound = 5; grain = 4 }
+    in
+    let g =
+      Experiments.Generators.game rng ~n ~m
+        ~weights:(Experiments.Generators.Rational_weights 5) ~beliefs
+    in
+    if n = 2 then incr two_users;
+    if Game.is_kp g then incr kp;
+    let expected = Per_share.candidate g and got = Algo.Fully_mixed.candidate g in
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun l q -> if not (same q got.(i).(l)) then Alcotest.failf "candidate p^%d_%d differs" l i)
+          row)
+      expected;
+    for i = 0 to n - 1 do
+      if not (same (Per_share.lambda g i) (Algo.Fully_mixed.equilibrium_latency g i)) then
+        Alcotest.failf "λ_%d differs" i
+    done;
+    for l = 0 to m - 1 do
+      if not (same (Per_share.traffic g l) (Algo.Fully_mixed.expected_traffic g l)) then
+        Alcotest.failf "W^%d differs" l
+    done;
+    let inside = Array.map (Array.map Per_share.in_open_unit) expected in
+    (match (Array.for_all (Array.for_all Fun.id) inside, Algo.Fully_mixed.compute g) with
+     | true, Some p ->
+       incr found;
+       if p <> got then Alcotest.fail "compute differs from the candidate"
+     | false, None -> ()
+     | _ -> Alcotest.fail "compute disagrees with the candidate's open-unit test");
+    (* Outside (0,1) only at the very last entry: compute must still
+       reach it and refuse. *)
+    let outside = ref [] in
+    Array.iteri (fun i row -> Array.iteri (fun l ok -> if not ok then outside := (i, l) :: !outside) row) inside;
+    if !outside = [ (n - 1, m - 1) ] then incr last_only
+  done;
+  if !found < 50 || !last_only < 5 || !two_users < 400 || !kp < 400 then
+    Alcotest.failf "coverage too thin: %d FMNE, %d last-entry failures, %d n=2, %d KP" !found
+      !last_only !two_users !kp;
+  (* The argument checks come first, with their messages. *)
+  let one = Game.of_capacities ~weights:[| qi 1 |] [| [| qi 1; qi 2 |] |] in
+  let two_msg =
+    Invalid_argument "Fully_mixed: at least two users required (the closed form divides by n-1)"
+  in
+  Alcotest.check_raises "n=1 candidate" two_msg (fun () -> ignore (Algo.Fully_mixed.candidate one));
+  Alcotest.check_raises "n=1 compute" two_msg (fun () -> ignore (Algo.Fully_mixed.compute one));
+  let participation =
+    Game.make_uncertain ~weights:[| qi 1; qi 2 |]
+      ~uncertainty:
+        (Array.make 2
+           (Uncertainty.participation ~presence:(q 1 2)
+              (Belief.certain (State.make [| qi 1; qi 2 |]))))
+  in
+  let linear_msg =
+    Invalid_argument
+      "Fully_mixed.candidate: game must be load-linear (no Bernoulli participation)"
+  in
+  Alcotest.check_raises "participation candidate" linear_msg (fun () ->
+      ignore (Algo.Fully_mixed.candidate participation));
+  Alcotest.check_raises "participation compute" linear_msg (fun () ->
+      ignore (Algo.Fully_mixed.compute participation))
+
 let fmne_properties =
   [
     prop "candidate rows always sum to one (Remark 4.4)" seed_gen (fun seed ->
@@ -520,6 +628,7 @@ let suite =
     ("successors strictly improve", `Quick, test_successors_are_improvements);
     ("enumeration hand case", `Quick, test_enumerate_hand_case);
     ("extremal equilibria", `Quick, test_enumerate_extremal);
+    ("one-pass FMNE matches the per-share formula", `Quick, test_fmne_matches_per_share_oracle);
   ]
 
 let () =

@@ -528,6 +528,210 @@ let test_native_social_costs () =
       check_costs "overflowing game" v)
 
 (* ------------------------------------------------------------------ *)
+(* Best-response-pruned enumeration: View.sweep_nash and Enumerate
+   against the full odometer filtered by is_nash, kept here as the
+   oracle.  The equilibria, their order, count and exists must agree
+   on packed games, on KP games with equal weights and capacities (the
+   last user's best responses tie across links), and on exact-lane
+   games (participation backends, and 2^100-scaled weights that
+   Packing refuses). *)
+
+let oracle_nash g =
+  let acc = ref [] in
+  View.sweep g (fun v -> if View.is_nash v then acc := View.profile v :: !acc);
+  List.rev !acc
+
+let check_pruned_sweep what g =
+  let expected = oracle_nash g in
+  let swept = ref [] in
+  View.sweep_nash g (fun v ->
+      if not (View.is_nash v) then Alcotest.failf "%s: sweep_nash visited a non-equilibrium" what;
+      if View.depth v <> 0 then Alcotest.failf "%s: sweep_nash leaked history depth" what;
+      swept := View.profile v :: !swept);
+  let same a b = List.length a = List.length b && List.for_all2 Pure.equal a b in
+  if not (same expected (List.rev !swept)) then
+    Alcotest.failf "%s: sweep_nash diverged from the sweep+is_nash filter" what;
+  if not (same expected (Algo.Enumerate.pure_nash g)) then
+    Alcotest.failf "%s: Enumerate.pure_nash diverged from the oracle" what;
+  if Algo.Enumerate.count g <> List.length expected then
+    Alcotest.failf "%s: Enumerate.count diverged from the oracle" what;
+  if Algo.Enumerate.exists g <> (expected <> []) then
+    Alcotest.failf "%s: Enumerate.exists diverged from the oracle" what;
+  List.length expected
+
+let participation_game rng ~n ~m =
+  let cap () = Rational.of_ints (1 + Rng.int rng 6) (1 + Rng.int rng 2) in
+  Game.make_uncertain
+    ~weights:(Array.init n (fun _ -> Rational.of_int (1 + Rng.int rng 3)))
+    ~uncertainty:
+      (Array.init n (fun _ ->
+           Uncertainty.participation
+             ~presence:(Rational.of_ints (1 + Rng.int rng 4) 4)
+             (Belief.certain (State.make (Array.init m (fun _ -> cap ()))))))
+
+let test_sweep_nash_matches_oracle () =
+  let rng = Rng.create 0x9E5E in
+  let lanes = Array.make 2 0 and equilibria = ref 0 in
+  let run what g =
+    let v = View.of_profile g (Array.make (Game.users g) 0) in
+    let lane = if View.packed v then 0 else 1 in
+    lanes.(lane) <- lanes.(lane) + 1;
+    equilibria := !equilibria + check_pruned_sweep what g
+  in
+  (* Random packed games over the three belief families. *)
+  for _ = 1 to 150 do
+    run "random game" (random_game rng)
+  done;
+  (* Every (n, m) with n in {1, 2} and m in 2..4. *)
+  for n = 1 to 2 do
+    for m = 2 to 4 do
+      for _ = 1 to 10 do
+        run "small game"
+          (Generators.game rng ~n ~m ~weights:(Generators.Integer_weights 3)
+             ~beliefs:(Generators.Private_point { cap_bound = 3 }))
+      done
+    done
+  done;
+  (* Equal weights and capacities: every link ties for the last user
+     whenever the prefix loads tie. *)
+  for n = 1 to 5 do
+    for m = 2 to 4 do
+      let w = Rational.of_ints (1 + Rng.int rng 3) (1 + Rng.int rng 2) in
+      let c = Rational.of_int (1 + Rng.int rng 4) in
+      let g = Game.kp ~weights:(Array.make n w) ~capacities:(Array.make m c) in
+      let count = check_pruned_sweep "equal KP game" g in
+      (* A lone user ties on every link. *)
+      if n = 1 && count <> m then Alcotest.fail "equal KP game lost a tied equilibrium"
+    done
+  done;
+  (* Exact lane: participation backends, and weights scaled by 2^100. *)
+  let k = Rational.of_bigint (Bigint.pow (Bigint.of_int 2) 100) in
+  for _ = 1 to 40 do
+    let n = Rng.int_in rng 1 5 and m = Rng.int_in rng 2 4 in
+    run "participation game" (participation_game rng ~n ~m);
+    let g = random_game rng in
+    run "2^100-scaled game"
+      (Game.of_capacities
+         ~weights:(Array.map (Rational.mul k) (Game.weights g))
+         (Game.capacity_matrix g))
+  done;
+  if lanes.(0) < 100 || lanes.(1) < 60 then
+    Alcotest.failf "lane coverage too thin: %d packed, %d exact games" lanes.(0) lanes.(1);
+  if !equilibria < 500 then Alcotest.failf "only %d equilibria enumerated" !equilibria
+
+(* The pruned sweep's own work allocates nothing per prefix: on the
+   packed lane a no-op sweep over an n = 8, m = 3 game (6,561 profiles)
+   allocates about what one over n = 4 (81 profiles) does — the view
+   and its arrays, linear in n. *)
+let test_sweep_nash_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let m = 3 in
+    let game n =
+      Game.of_capacities
+        ~weights:(Array.init n (fun i -> Rational.of_ints (1 + (i mod 3)) (1 + (i mod 2))))
+        (Array.init n (fun i ->
+             Array.init m (fun l -> Rational.of_ints (1 + ((i + (2 * l)) mod 5)) (1 + (l mod 2)))))
+    in
+    let words g =
+      let w0 = Gc.minor_words () in
+      View.sweep_nash g ignore;
+      Gc.minor_words () -. w0
+    in
+    let small = game 4 and big = game 8 in
+    List.iter
+      (fun g ->
+        if not (View.packed (View.of_profile g (Array.make (Game.users g) 0))) then
+          Alcotest.fail "allocation pin game is not packed";
+        if Algo.Enumerate.count g = 0 then Alcotest.fail "allocation pin game has no equilibrium")
+      [ small; big ];
+    ignore (words small);
+    let ws = words small and wb = words big in
+    if wb -. ws > 64. then
+      Alcotest.failf "sweep_nash allocated %.0f minor words at n = 8 against %.0f at n = 4" wb ws
+
+(* ------------------------------------------------------------------ *)
+(* Pure.social_cost1/2 against the term-by-term exact sum and maximum
+   of Pure.latency: packed games (scored without a view), games with
+   initial traffic, non-load-linear games and packed games whose base
+   bound fails; then View.social_cost1/2 along a chain of moves. *)
+
+let pure_reference g ?initial p =
+  let lats = List.init (Game.users g) (Pure.latency g ?initial p) in
+  (List.fold_left Rational.add Rational.zero lats, List.fold_left Rational.max Rational.zero lats)
+
+let check_pure_costs what g ?initial p =
+  let sc1, sc2 = pure_reference g ?initial p in
+  let same a b = Rational.equal a b && Rational.to_string a = Rational.to_string b in
+  if not (same (Pure.social_cost1 g ?initial p) sc1) then
+    Alcotest.failf "%s: Pure.social_cost1 differs from the latency sum" what;
+  if not (same (Pure.social_cost2 g ?initial p) sc2) then
+    Alcotest.failf "%s: Pure.social_cost2 differs from the latency maximum" what
+
+(* Capacities (2^31 - 1)/(2^31 - 3)·j: the game packs, but
+   2·wsum·maxcd·maxcn spills, so the base bound fails. *)
+let base_refused_game () =
+  let a = (1 lsl 31) - 1 and b = (1 lsl 31) - 3 in
+  Game.kp
+    ~weights:(Array.map Rational.of_int [| 3; 2; 2; 1 |])
+    ~capacities:(Array.init 3 (fun j -> Rational.of_ints (a - (2 * j)) b))
+
+let test_pure_social_costs () =
+  let rng = Rng.create 0x5C1E in
+  let view_free = ref 0 in
+  for _ = 1 to 300 do
+    let g = random_game rng in
+    let n = Game.users g and m = Game.links g in
+    let p = Array.init n (fun _ -> Rng.int rng m) in
+    (match Game.packed_tables g with
+     | Some pk when pk.Packing.base_ok && Game.cost_tables g <> None -> incr view_free
+     | _ -> ());
+    check_pure_costs "random game" g p;
+    let initial = Array.init m (fun _ -> Rng.rational rng ~den_bound:5) in
+    check_pure_costs "initial traffic" g ~initial p;
+    (* A chain of moves on one view. *)
+    let v = View.of_profile g ~initial p in
+    let plain = View.of_profile g p in
+    for _ = 1 to 10 do
+      let i = Rng.int rng n and l = Rng.int rng m in
+      View.move v i l;
+      View.move plain i l;
+      let q = View.profile v in
+      let sc1, sc2 = pure_reference g ~initial q in
+      if not (Rational.equal (View.social_cost1 v) sc1 && Rational.equal (View.social_cost2 v) sc2)
+      then Alcotest.fail "View social costs after moves differ from Pure.latency (initial)";
+      let sc1, sc2 = pure_reference g q in
+      if
+        not
+          (Rational.equal (View.social_cost1 plain) sc1
+          && Rational.equal (View.social_cost2 plain) sc2)
+      then Alcotest.fail "View social costs after moves differ from Pure.latency"
+    done
+  done;
+  if !view_free < 200 then Alcotest.failf "only %d games scored without a view" !view_free;
+  for _ = 1 to 100 do
+    let n = Rng.int_in rng 1 5 and m = Rng.int_in rng 2 4 in
+    let g = participation_game rng ~n ~m in
+    check_pure_costs "participation game" g (Array.init n (fun _ -> Rng.int rng m))
+  done;
+  let g = base_refused_game () in
+  (match Game.packed_tables g with
+   | Some pk when not pk.Packing.base_ok -> ()
+   | _ -> Alcotest.fail "base-refused game does not pack with a failing base bound");
+  Social.iter_profiles g (fun p -> check_pure_costs "base-refused game" g (Array.copy p));
+  let g = overflowing_game () in
+  Social.iter_profiles g (fun p -> check_pure_costs "overflowing game" g (Array.copy p));
+  (* Invalid profiles still raise the view's errors. *)
+  let g = random_game rng in
+  let n = Game.users g and m = Game.links g in
+  Alcotest.check_raises "short profile"
+    (Invalid_argument "View.of_profile: profile length differs from user count") (fun () ->
+      ignore (Pure.social_cost1 g (Array.make (n + 1) 0)));
+  Alcotest.check_raises "link out of range" (Invalid_argument "View.of_profile: link out of range")
+    (fun () -> ignore (Pure.social_cost2 g (Array.make n m)))
+
+(* ------------------------------------------------------------------ *)
 (* Guard rails                                                         *)
 
 let test_validation () =
@@ -601,5 +805,11 @@ let () =
           ("validation and empty-history errors", `Quick, test_validation);
           ("ownership sanitizer guards move/undo", `Quick, test_ownership_guard);
           ("native social costs match the per-user sum", `Quick, test_native_social_costs);
+        ] );
+      ( "pruned",
+        [
+          ("sweep_nash and Enumerate match the is_nash filter", `Quick, test_sweep_nash_matches_oracle);
+          ("packed sweep_nash allocation is flat in m^n", `Quick, test_sweep_nash_allocation);
+          ("Pure social costs match the latency sum and max", `Quick, test_pure_social_costs);
         ] );
     ]
